@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import audit, layout as layout_mod, scheme, simnet
+from . import audit, scheme, simnet
 from .layout import SchemeParams, build_layout, per_layer_counts, total_download
 
 EXIT_OK = 0

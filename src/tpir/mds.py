@@ -130,9 +130,9 @@ def recover_info(spec: MdsSpec, coords, values) -> np.ndarray:
 def submatrix_inverse(spec: MdsSpec, coords) -> np.ndarray:
     """Exact inverse of generator(spec)[coords, :] for k distinct coordinates.
 
-    O(k^2) plus one k x k product, via Lagrange interpolation on the
-    evaluation points; equivalent to ``linalg.invert`` of the submatrix but
-    fast enough to run per responder subset inside the decoder.
+    O(k^2), via Lagrange interpolation on the evaluation points; equivalent
+    to ``linalg.invert`` of the submatrix but fast enough to run per
+    responder subset inside the decoder.
     """
     coords = np.asarray(list(coords), dtype=np.int64)
     if coords.size != spec.k or len(set(coords.tolist())) != spec.k:
@@ -145,8 +145,10 @@ def vandermonde_inverse(nodes: np.ndarray, q: int) -> np.ndarray:
 
     Solving V c = y is polynomial interpolation: c holds the coefficients of
     the degree < k polynomial through (nodes[i], y[i]). Columns of the inverse
-    are the Lagrange basis polynomials P / ((x - x_i) P'(x_i)), assembled with
-    one batched synthetic-division product.
+    are the Lagrange basis polynomials P / ((x - x_i) P'(x_i)). The master
+    polynomial P (multiplying out the linear factors), the k quotients
+    (synthetic division) and their values P'(x_i) (Horner's rule) each take
+    one vectorised O(k^2) pass.
     """
     nodes = np.asarray(nodes, dtype=np.int64) % q
     k = nodes.size
@@ -162,19 +164,15 @@ def vandermonde_inverse(nodes: np.ndarray, q: int) -> np.ndarray:
         p[0] = 0
         p[: deg + 1] = (p[: deg + 1] + head * (q - x)) % q  # minus x_i * p
         deg += 1
-    # power table X[i, t] = x_i^t, t < k
-    powers = np.empty((k, k), dtype=np.int64)
-    powers[:, 0] = 1
-    for t in range(1, k):
-        powers[:, t] = powers[:, t - 1] * nodes % q
-    # quotient coefficients B[i, j] of P / (x - x_i):
-    # B[i, j] = sum_t p[j + 1 + t] * x_i^t  (a Hankel-structured product)
-    hankel = np.zeros((k, k), dtype=np.int64)
-    for t in range(k):
-        hankel[t, : k - t] = p[1 + t : k + 1]
-    b = linalg.mat_mul(powers, hankel, q)
-    # weights 1 / P'(x_i); P'(x_i) equals the quotient evaluated at x_i
-    dp = p[1:] * np.arange(1, k + 1, dtype=np.int64) % q
-    deriv = linalg.mat_mul(powers, dp.reshape(-1, 1), q).ravel()
+    # quotient coefficients of P / (x - x_i), one row per degree j, by
+    # synthetic division: bt[j, i] = bt[j + 1, i] * x_i + p[j + 1]
+    bt = np.empty((k, k), dtype=np.int64)
+    bt[k - 1] = p[k]
+    for j in range(k - 2, -1, -1):
+        bt[j] = (bt[j + 1] * nodes + p[j + 1]) % q
+    # weights 1 / P'(x_i); P'(x_i) is the quotient evaluated at x_i (Horner)
+    deriv = bt[k - 1].copy()
+    for j in range(k - 2, -1, -1):
+        deriv = (deriv * nodes + bt[j]) % q
     w = np.array([pow(int(v), -1, q) for v in deriv], dtype=np.int64)
-    return (b * w[:, None] % q).T
+    return bt * w % q

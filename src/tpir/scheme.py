@@ -17,7 +17,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import layout as layout_mod
 from . import linalg, mds
 from .layout import BlockLayout, SchemeParams, build_layout, total_download
 
@@ -26,6 +25,7 @@ __all__ = [
     "SchemeSecrets",
     "QueryPlan",
     "Answer",
+    "InvalidAnswerError",
     "sample_secrets",
     "build_queries",
     "answer_query",
@@ -72,6 +72,14 @@ class SchemeSecrets:
 class Answer:
     db_id: int
     values: np.ndarray
+
+
+class InvalidAnswerError(ValueError):
+    """An answer that cannot belong to this session, rejected before decoding."""
+
+    def __init__(self, db_id, reason: str):
+        self.db_id = db_id
+        super().__init__(f"answer from database {db_id}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -247,15 +255,27 @@ class Decoder:
 
         Answer values may be vectors of length D or (D, t) matrices; the
         matrix form decodes t independent stores in one pass (columns are
-        independent right-hand sides of the same linear system).
+        independent right-hand sides of the same linear system). An answer
+        whose database id is outside 0..M-1, or whose values are not D
+        symbols long, raises ``InvalidAnswerError``.
         """
         p = self.params
         by_id = {}
         batched = False
         for a in answers:
+            if not 0 <= a.db_id < p.M:
+                raise InvalidAnswerError(a.db_id, f"id outside 0..{p.M - 1}")
             if a.db_id in by_id:
                 raise ValueError(f"duplicate answer from database {a.db_id}")
             vals = np.asarray(a.values, dtype=np.int64)
+            if vals.ndim not in (1, 2):
+                raise InvalidAnswerError(
+                    a.db_id, f"values have {vals.ndim} dimensions, expected 1 or 2"
+                )
+            if vals.shape[0] != self.layout.per_db:
+                raise InvalidAnswerError(
+                    a.db_id, f"{vals.shape[0]} symbols, expected {self.layout.per_db}"
+                )
             if vals.ndim == 1:
                 vals = vals.reshape(-1, 1)
             else:
@@ -296,6 +316,8 @@ class Decoder:
         y = np.concatenate(cleaned)
 
         slw = linalg.mat_mul(tables["desired_inv"], y, q)
+        # Only S_desired is ever inverted, so it is inverted here, once per
+        # decoder, rather than alongside each of the K secret draws.
         if self._secret_inv is None:
             self._secret_inv = linalg.invert(self.secrets.matrices[self.desired], q)
         out = linalg.mat_mul(self._secret_inv, slw, q)

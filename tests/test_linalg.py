@@ -112,6 +112,78 @@ def test_sampler_huge_dimension_smoke():
     assert linalg.rank(m, 65537) == 64
 
 
+# One prime per exact path of mat_mul in the blocked trailing update (inner
+# dimension at most 64): float64 BLAS, int64, and Python objects.
+FLOAT_Q, INT64_Q, OBJECT_Q = 877, 268435399, 1073741827
+
+
+@pytest.mark.parametrize(
+    "n,q",
+    [(65, FLOAT_Q), (130, FLOAT_Q), (200, FLOAT_Q), (130, INT64_Q), (65, OBJECT_Q)],
+)
+def test_invert_round_trip_blocked(n, q):
+    # 65: one panel plus a ragged one; 130 and 200: several panels
+    a = linalg.sample_uniform_full_rank(n, q, np.random.default_rng(n))
+    inv = linalg.invert(a, q)
+    eye = np.eye(n, dtype=np.int64)
+    assert np.array_equal(linalg.mat_mul(a, inv, q), eye)
+    assert np.array_equal(linalg.mat_mul(inv, a, q), eye)
+
+
+def _rank_r(m, n, r, q, rng, zero_cols=slice(0, 0)):
+    """An m x n matrix of rank exactly r, zero on ``zero_cols``."""
+    keep = np.ones(n, dtype=bool)
+    keep[zero_cols] = False
+    x = linalg.sample_uniform_full_rank(m, q, rng)[:, :r]
+    y = np.zeros((r, n), dtype=np.int64)
+    y[:, keep] = linalg.sample_uniform_full_rank(int(keep.sum()), q, rng)[:r]
+    return linalg.mat_mul(x, y, q)
+
+
+@pytest.mark.parametrize("q", [2, FLOAT_Q, INT64_Q, OBJECT_Q])
+@pytest.mark.parametrize(
+    "m,n,r,zero_cols",
+    [
+        (150, 150, 100, slice(0, 0)),
+        (150, 150, 70, slice(64, 128)),  # the second panel has no pivot column
+        (40, 300, 30, slice(0, 0)),  # wide
+        (70, 200, 70, slice(10, 90)),  # wide, full row rank
+    ],
+)
+def test_rank_of_built_rank_r_matrices(q, m, n, r, zero_cols):
+    a = _rank_r(m, n, r, q, np.random.default_rng(m * n + r), zero_cols)
+    assert linalg.rank(a, q) == r
+    assert linalg.rank(a.T, q) == r
+
+
+@pytest.mark.parametrize("q", [2, FLOAT_Q, INT64_Q])
+def test_blocked_rref_matches_unblocked_loop(q):
+    a = _rank_r(150, 260, 120, q, np.random.default_rng(q), slice(64, 140))
+    blocked, reference = a.copy(), a.copy()
+    got = linalg._eliminate(blocked, q, 260, jordan=True)
+    want = linalg._pivot_loop(reference, q, 260, jordan=True)[:2]
+    assert got == want
+    assert np.array_equal(blocked, reference)
+
+
+@pytest.mark.parametrize("q", [FLOAT_Q, INT64_Q])
+def test_solve_matches_multiplication_blocked(q):
+    n = 150
+    rng = np.random.default_rng(3)
+    a = linalg.sample_uniform_full_rank(n, q, rng)
+    x = rng.integers(0, q, size=(n, 3))
+    assert np.array_equal(linalg.solve(a, linalg.mat_mul(a, x, q), q), x)
+    v = x[:, 0]
+    assert np.array_equal(linalg.solve(a, linalg.mat_mul(a, x, q)[:, 0], q), v)
+
+
+def test_sampler_blocked_dimension_is_full_rank_and_seeded():
+    m = linalg.sample_uniform_full_rank(130, 5, np.random.default_rng(11))
+    assert m.shape == (130, 130)
+    assert linalg.rank(m, 5) == 130
+    assert np.array_equal(m, linalg.sample_uniform_full_rank(130, 5, np.random.default_rng(11)))
+
+
 @given(square_matrix())
 def test_serialize_round_trip(mq):
     a, q = mq

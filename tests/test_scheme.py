@@ -156,3 +156,36 @@ def test_determinism_given_seed():
     p2 = scheme.build_queries(p, 0, s2)
     for a, b in zip(p1.matrices, p2.matrices):
         assert np.array_equal(a, b)
+
+
+def _decoder_and_answers(p, seed=4):
+    rng = np.random.default_rng(seed)
+    store = scheme.MessageStore.random(p, rng)
+    secrets = scheme.sample_secrets(p, rng)
+    plan = scheme.build_queries(p, 1, secrets)
+    answers = [scheme.answer_query(m, plan.matrices[m], store) for m in range(p.N)]
+    return scheme.Decoder(p, 1, secrets, plan.layout), answers
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda a, p: scheme.Answer(-1, a.values),
+        lambda a, p: scheme.Answer(p.M, a.values),
+        lambda a, p: scheme.Answer(a.db_id, np.append(a.values, 0)),
+        lambda a, p: scheme.Answer(a.db_id, a.values[:-1]),
+        lambda a, p: scheme.Answer(a.db_id, np.int64(3)),
+        lambda a, p: scheme.Answer(a.db_id, a.values.reshape(-1, 1, 1)),
+    ],
+    ids=["negative-id", "id-equals-M", "over-long", "short", "scalar", "3-d"],
+)
+def test_decoder_rejects_invalid_answer(tamper):
+    p = SchemeParams(2, 3, 2, 5)
+    decoder, answers = _decoder_and_answers(p)
+    bad = tamper(answers[0], p)
+    with pytest.raises(scheme.InvalidAnswerError) as exc:
+        decoder.decode([bad, *answers[1:]])
+    assert exc.value.db_id == bad.db_id
+    assert f"database {bad.db_id}" in str(exc.value)
+    assert isinstance(exc.value, ValueError)
+
