@@ -22,6 +22,7 @@ from functools import cached_property
 from math import comb
 
 from .field import is_prime, smallest_prime_geq
+from .linalg import check_modulus
 
 __all__ = [
     "SchemeParams",
@@ -54,7 +55,8 @@ def max_code_length(K: int, N: int, T: int, M: int) -> int:
 class SchemeParams:
     """Scheme parameters (K messages, N responders, T colluders, M databases).
 
-    q is the field modulus; when omitted it is chosen as the smallest prime
+    q is the field modulus, a prime at most 2^31 (so that elimination over
+    GF(q) is exact in int64); when omitted it is chosen as the smallest prime
     that fits the longest MDS code the layout needs. Each message has
     L = N^K symbols. The seed makes every run replayable.
     """
@@ -79,6 +81,7 @@ class SchemeParams:
         else:
             if not is_prime(self.q):
                 raise ValueError(f"q={self.q} is not prime")
+            check_modulus(self.q)
             if self.q < needed:
                 raise ValueError(
                     f"q={self.q} too small: longest MDS code has length {needed}"

@@ -3,8 +3,17 @@
 Matrices are plain ``numpy`` arrays with entries reduced mod q; the modulus is
 passed explicitly. Elimination is blocked: each panel of columns is pivoted by
 a small unblocked loop, and the rest of the matrix is updated by one exact
-``mat_mul`` per panel, so the bulk of the work runs as BLAS matrix products
-(the FFLAS-FFPACK technique of Dumas, Giorgi and Pernet, ACM TOMS 2008).
+integer product per panel, so the bulk of the work runs as BLAS matrix
+products. Reduction mod q is delayed: the trailing rows take the unreduced
+products and are reduced only when int64 would otherwise overflow, and only
+what pivoting reads is reduced on the way (the delayed reduction of
+FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008). Elimination is exact
+for q <= 2^31; larger moduli are rejected.
+
+Uniform elements of GL(n, q) are drawn through a unique factorisation, as a
+product of two random factors, with no elimination and no rejection of
+singular draws (D. Randall, "Efficient generation of random nonsingular
+matrices", Random Structures & Algorithms 4(1), 1993).
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from .field import element_width, elements_from_bytes, elements_to_bytes
 
 __all__ = [
     "SingularMatrixError",
+    "check_modulus",
     "mat_mul",
     "rank",
     "invert",
@@ -40,6 +50,16 @@ class SingularMatrixError(ValueError):
         super().__init__(f"singular matrix: rank {rank} < {size}")
 
 
+def check_modulus(q: int) -> None:
+    """Raise ``ValueError`` for q > 2^31, where int64 elimination is not exact.
+
+    Elimination multiplies two residues and adds a third in int64, which
+    needs (q-1)^2 < 2^62. ``mat_mul`` alone is exact for every q.
+    """
+    if (q - 1) ** 2 >= 2**62:
+        raise ValueError(f"q={q} too large: exact int64 elimination needs q <= 2^31")
+
+
 def _as_array(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.int64)
     if arr.ndim != 2:
@@ -47,24 +67,34 @@ def _as_array(a) -> np.ndarray:
     return arr
 
 
-def mat_mul(a, b, q: int) -> np.ndarray:
-    """Matrix product over GF(q).
+def _product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """An int64 matrix congruent to a @ b mod q, for entries of a and b in [0, q).
 
-    Uses float64 BLAS when the un-reduced inner products provably fit in the
-    53-bit mantissa, falling back to exact int64 otherwise.
+    Exact, and unreduced while the inner products fit in int64: with
+    ``inner * (q-1)^2 < 2^53`` they run on float64 BLAS, where sums of
+    integers below 2^53 are exact integers, so the cast back is exact; below
+    2^63 they run on int64. Otherwise they run on Python integers and the
+    result is reduced mod q.
     """
-    a, b = _as_array(a) % q, _as_array(b) % q
+    worst = a.shape[1] * (q - 1) ** 2
+    if worst < 2**53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    if worst < 2**63:
+        return a @ b
+    return np.array((a.astype(object) @ b.astype(object)) % q, dtype=np.int64)
+
+
+def mat_mul(a, b, q: int) -> np.ndarray:
+    """Matrix product over GF(q), exact for every q.
+
+    Uses float64 BLAS when the unreduced inner products provably fit in the
+    53-bit mantissa, int64 when they fit in 63 bits, and Python integers
+    otherwise.
+    """
+    a, b = _as_array(a), _as_array(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    inner = a.shape[1]
-    if inner * (q - 1) ** 2 < 2**53:
-        prod = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    elif inner * (q - 1) ** 2 < 2**63:
-        prod = a @ b
-    else:
-        prod = np.array((a.astype(object) @ b.astype(object)) % q, dtype=np.int64)
-        return prod
-    return prod % q
+    return _product(a % q, b % q, q) % q
 
 
 def _pivot_loop(a: np.ndarray, q: int, ncols: int, jordan: bool):
@@ -121,45 +151,59 @@ _BLOCK = 64
 def _eliminate(a: np.ndarray, q: int, ncols: int, jordan: bool):
     """In-place elimination on ``a`` using pivots from its first ``ncols`` columns.
 
-    ``a`` must be reduced mod q. Returns (rank, pivot column list). With ``jordan=True`` produces reduced
-    row-echelon form; otherwise only eliminates below pivots. All columns of
-    ``a`` take part in the row operations, so an augmented right-hand side is
-    transformed along with the pivot columns.
+    ``a`` must be reduced mod q, and q at most 2^31 (larger q raises
+    ``ValueError``). Returns (rank, pivot column list). With ``jordan=True``
+    produces reduced row-echelon form; otherwise only eliminates below
+    pivots. All columns of ``a`` take part in the row operations, so an
+    augmented right-hand side is transformed along with the pivot columns.
+    On return ``a`` is reduced mod q.
 
-    Right-looking and blocked: a copy of each panel of ``_BLOCK`` columns
-    (rows from the first unpivoted one down) is pivoted by ``_pivot_loop``,
-    its row swaps are replayed on ``a``, the panel's pivot rows are
-    normalised by the inverse of their pivot-column block, and every other
-    row (below the panel, or all rows for ``jordan``) gets one rank-b update
-    through ``mat_mul``, which is exact for every q. With at most ``_BLOCK``
-    pivot columns the unblocked loop runs on ``a`` directly, so small
-    matrices pay no panel overhead.
+    Right-looking and blocked: a reduced copy of each panel of ``_BLOCK``
+    columns (rows from the first unpivoted one down) is pivoted by
+    ``_pivot_loop``, its row swaps are replayed on ``a``, the panel's pivot
+    rows are reduced and normalised by the inverse of their pivot-column
+    block, and every other row (below the panel, or all rows for ``jordan``)
+    gets one rank-b update: the unreduced product of its reduced multipliers
+    and the pivot rows. Only what pivoting reads is reduced between panels;
+    the trailing rows are reduced only when the next update could overflow
+    int64, which for small q is never. With at most ``_BLOCK`` pivot columns
+    the unblocked loop runs on ``a`` directly, so small matrices pay no panel
+    overhead.
     """
+    check_modulus(q)
     if ncols <= _BLOCK:
         r, pivots, _ = _pivot_loop(a, q, ncols, jordan)
         return r, pivots
     m = a.shape[0]
     r = 0
     pivots = []
+    worst = q - 1  # bound on |entries| in the rows the panel updates touch
     for c0 in range(0, ncols, _BLOCK):
         if r == m:
             break
-        panel = a[r:, c0 : min(c0 + _BLOCK, ncols)].copy()
+        panel = a[r:, c0 : min(c0 + _BLOCK, ncols)] % q
         b, cols, swaps = _pivot_loop(panel, q, panel.shape[1], jordan=False)
         if b == 0:
-            continue  # the panel is already zero from row r down
+            continue  # the panel is zero mod q from row r down
         for i, j in swaps:
             a[[r + i, r + j]] = a[[r + j, r + i]]
         top = a[r : r + b, c0:]
+        top %= q
         block = np.concatenate([top[:, cols], np.eye(b, dtype=np.int64)], axis=1)
         _pivot_loop(block, q, b, jordan=True)
-        top[...] = mat_mul(block[:, b:], top, q)
+        top[...] = _product(block[:, b:], top, q) % q
+        step = b * (q - 1) ** 2  # bounds the entries of _product's result
         others = (a[:r, c0:], a[r + b :, c0:]) if jordan else (a[r + b :, c0:],)
+        if worst + step >= 2**63:
+            for rows in others:
+                rows %= q
+            worst = q - 1
         for rows in others:
-            rows -= mat_mul(rows[:, cols], top, q)
-            rows %= q
+            rows -= _product(rows[:, cols] % q, top, q)
+        worst += step
         pivots.extend(c0 + c for c in cols)
         r += b
+    a %= q
     return r, pivots
 
 
@@ -207,18 +251,41 @@ def solve(a, rhs, q: int) -> np.ndarray:
 def sample_uniform_full_rank(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from GL(n, q), deterministic given the generator state.
 
-    Rejection sampling: draw a uniform n x n matrix over GF(q) and redraw
-    until it has rank n. Conditioned on being invertible, a uniform matrix is
-    uniform on GL(n, q). A draw is accepted with probability
-    prod_{i=1..n} (1 - q^-i), which is above 1 - 1/(q-1) and about 0.29 at
-    q = 2.
+    Returns C @ V for two uniform factors. C is unit lower triangular with
+    uniform entries below the diagonal. Row r of V is a uniform nonzero
+    vector written, in column order, into the n - r columns that hold no
+    earlier row's leading entry; it is redrawn only if all zero (probability
+    q^-(n-r)). Every M in GL(n, q) has exactly one such (C, V): row 0 of V is
+    row 0 of M, each later row of M splits uniquely into a multiple of it
+    plus a vector that is zero at its leading column, and the rest recurses.
+    So the draw is exactly uniform, at the cost of one ``mat_mul``.
+
+    Calls on ``rng``: ``integers(0, q, size=n(n+1)/2)`` for V's rows, row
+    after row; ``integers(0, q, size=n-r)`` for each redraw of row r, in row
+    order; then ``integers(0, q, size=n(n-1)/2)`` for C's below-diagonal
+    entries in row-major order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    while True:
-        m = rng.integers(0, q, size=(n, n), dtype=np.int64)
-        if rank(m, q) == n:
-            return m
+    i = np.arange(n)
+    drawn = i[:, None] + i < n  # row r's n - r values, left-aligned
+    v = np.zeros((n, n), dtype=np.int64)
+    v[drawn] = rng.integers(0, q, size=n * (n + 1) // 2, dtype=np.int64)
+    for r in np.flatnonzero(~v.any(axis=1)):
+        while not v[r].any():
+            v[r, : n - r] = rng.integers(0, q, size=n - r, dtype=np.int64)
+    # lead[j] is the row whose leading entry sits in column j, so row r
+    # writes its values into the columns j with lead[j] >= r, in column order
+    free = list(range(n))
+    lead = np.empty(n, dtype=np.int64)
+    for r, p in enumerate((v != 0).argmax(axis=1).tolist()):
+        lead[free.pop(p)] = r
+    values = v[drawn]
+    v[...] = 0
+    v[lead >= i[:, None]] = values
+    c = np.eye(n, dtype=np.int64)
+    c[i[:, None] > i] = rng.integers(0, q, size=n * (n - 1) // 2, dtype=np.int64)
+    return mat_mul(c, v, q)
 
 
 def count_full_rank(n: int, q: int) -> int:

@@ -148,8 +148,10 @@ def vandermonde_inverse(nodes: np.ndarray, q: int) -> np.ndarray:
     are the Lagrange basis polynomials P / ((x - x_i) P'(x_i)). The master
     polynomial P (multiplying out the linear factors), the k quotients
     (synthetic division) and their values P'(x_i) (Horner's rule) each take
-    one vectorised O(k^2) pass.
+    one vectorised O(k^2) pass. Raises ``ValueError`` for q > 2^31, where
+    the int64 products of residues could overflow.
     """
+    linalg.check_modulus(q)
     nodes = np.asarray(nodes, dtype=np.int64) % q
     k = nodes.size
     if len(set(nodes.tolist())) != k:

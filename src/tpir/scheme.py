@@ -256,8 +256,9 @@ class Decoder:
         Answer values may be vectors of length D or (D, t) matrices; the
         matrix form decodes t independent stores in one pass (columns are
         independent right-hand sides of the same linear system). An answer
-        whose database id is outside 0..M-1, or whose values are not D
-        symbols long, raises ``InvalidAnswerError``.
+        whose database id is outside 0..M-1, whose values are not D symbols
+        long, or whose values are not residues in 0..q-1 raises
+        ``InvalidAnswerError``.
         """
         p = self.params
         by_id = {}
@@ -276,6 +277,8 @@ class Decoder:
                 raise InvalidAnswerError(
                     a.db_id, f"{vals.shape[0]} symbols, expected {self.layout.per_db}"
                 )
+            if vals.size and (vals.min() < 0 or vals.max() >= p.q):
+                raise InvalidAnswerError(a.db_id, f"values outside 0..{p.q - 1}")
             if vals.ndim == 1:
                 vals = vals.reshape(-1, 1)
             else:

@@ -126,6 +126,8 @@ def test_q_override_accepted():
     assert p.q == 13
     with pytest.raises(ValueError):
         SchemeParams(2, 3, 2, 3, q=12)  # not prime
+    with pytest.raises(ValueError, match=str(2**61 - 1)):
+        SchemeParams(2, 3, 2, 3, q=2**61 - 1)  # prime, but elimination overflows int64
 
 
 @given(st.integers(1, 4), st.integers(2, 5), st.data())

@@ -184,6 +184,131 @@ def test_sampler_blocked_dimension_is_full_rank_and_seeded():
     assert np.array_equal(m, linalg.sample_uniform_full_rank(130, 5, np.random.default_rng(11)))
 
 
+class _Replay:
+    """Stands in for a numpy Generator: ``integers`` returns queued draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def integers(self, low, high, size, dtype=np.int64):
+        out = np.asarray(self.draws.pop(0), dtype=dtype)
+        assert out.shape == (size,) and ((low <= out) & (out < high)).all()
+        return out
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (2, 5)])
+def test_sampler_factor_choices_cover_group_once(n, q):
+    """Every choice of V's nonzero rows and C's entries gives a distinct element."""
+    v_rows = [
+        [row for row in itertools.product(range(q), repeat=n - r) if any(row)]
+        for r in range(n)
+    ]
+    c_entries = list(itertools.product(range(q), repeat=n * (n - 1) // 2))
+    seen = set()
+    choices = 0
+    for rows in itertools.product(*v_rows):
+        for c in c_entries:
+            rng = _Replay(sum(rows, ()), c)
+            m = linalg.sample_uniform_full_rank(n, q, rng)
+            assert rng.draws == []
+            assert linalg.rank(m, q) == n
+            seen.add(m.tobytes())
+            choices += 1
+    assert len(seen) == choices == linalg.count_full_rank(n, q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sampler_redraws_all_zero_rows(n):
+    # every row of V is first drawn zero, then redrawn zero once more
+    redraws = [d for r in range(n) for d in ([0] * (n - r), [1] * (n - r))]
+    rng = _Replay([0] * (n * (n + 1) // 2), *redraws, [0] * (n * (n - 1) // 2))
+    m = linalg.sample_uniform_full_rank(n, 2, rng)
+    assert rng.draws == []
+    assert linalg.rank(m, 2) == n
+    assert np.array_equal(m, np.triu(np.ones((n, n), dtype=np.int64)))
+
+
+def _reference_eliminate(a, q, ncols, jordan):
+    """Unblocked Gauss(-Jordan) elimination reducing every step: the test oracle."""
+    m = a.shape[0]
+    r = 0
+    pivots = []
+    for col in range(ncols):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, col] % q)[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        a[[r, piv]] = a[[piv, r]]
+        a[r] = a[r] * pow(int(a[r, col]), -1, q) % q
+        below = slice(None) if jordan else slice(r + 1, None)
+        factors = a[below, col].copy()
+        if jordan:
+            factors[r] = 0
+        a[below] = (a[below] - np.outer(factors, a[r])) % q
+        pivots.append(col)
+        r += 1
+    return r, pivots
+
+
+# The largest prime whose 64-term products stay on int64: at n = 448 (seven
+# panels) the unreduced updates overflow int64 unless the bound forces a
+# reduction. At n = 200 (four panels) every product path runs, and on int64
+# the bound forces reductions.
+INT64_EDGE_Q = 379625047
+
+
+@pytest.mark.parametrize(
+    "n,q", [(200, FLOAT_Q), (200, INT64_Q), (200, OBJECT_Q), (448, INT64_EDGE_Q)]
+)
+@pytest.mark.parametrize("jordan", [False, True])
+def test_eliminate_leaves_entries_reduced(n, q, jordan):
+    rng = np.random.default_rng(q % 1000 + jordan)
+    a = np.concatenate([rng.integers(0, q, size=(n, n)), np.eye(n, dtype=np.int64)], 1)
+    want = a.copy()
+    assert linalg._eliminate(a, q, n, jordan) == _reference_eliminate(want, q, n, jordan)
+    assert a.min() >= 0 and a.max() < q
+    if jordan:  # reduced row-echelon form is unique; plain echelon form is not
+        assert np.array_equal(a, want)
+
+
+@pytest.mark.parametrize("q", [2, 5, FLOAT_Q, 65537])
+def test_invert_rank_solve_match_reference(q):
+    n = 150
+    rng = np.random.default_rng(q)
+    a = linalg.sample_uniform_full_rank(n, q, rng)
+    rhs = rng.integers(0, q, size=(n, 4))
+    for right, got in (
+        (np.eye(n, dtype=np.int64), linalg.invert(a, q)),
+        (rhs, linalg.solve(a, rhs, q)),
+    ):
+        aug = np.concatenate([a, right], axis=1)
+        assert _reference_eliminate(aug, q, n, jordan=True)[0] == n
+        assert np.array_equal(got, aug[:, n:])
+    for b in (_rank_r(n, 180, 110, q, rng, slice(60, 120)), rng.integers(0, q, size=(n, n))):
+        assert linalg.rank(b, q) == _reference_eliminate(b.copy(), q, b.shape[1], False)[0]
+    singular = _rank_r(n, n, 120, q, rng)
+    with pytest.raises(linalg.SingularMatrixError) as exc:
+        linalg.invert(singular, q)
+    assert exc.value.rank == 120
+
+
+def test_elimination_rejects_modulus_above_2_31():
+    q = 2**61 - 1  # prime; a product of two residues overflows int64
+    a = np.random.default_rng(0).integers(0, q, size=(3, 3))
+    for call in (
+        lambda: linalg.invert(a, q),
+        lambda: linalg.rank(a, q),
+        lambda: linalg.solve(a, a[:, 0], q),
+    ):
+        with pytest.raises(ValueError, match=str(q)):
+            call()
+    # mat_mul alone stays exact for any q
+    want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % q for col in a.T] for row in a]
+    assert linalg.mat_mul(a, a, q).tolist() == want
+
+
 @given(square_matrix())
 def test_serialize_round_trip(mq):
     a, q = mq

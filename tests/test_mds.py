@@ -92,6 +92,12 @@ def test_vandermonde_inverse_structured_vs_generic(q, k, seed):
     assert np.array_equal(mds.vandermonde_inverse(nodes, q), linalg.invert(v, q))
 
 
+def test_vandermonde_inverse_rejects_modulus_above_2_31():
+    q = 2**61 - 1  # prime; products of residues overflow int64
+    with pytest.raises(ValueError, match=str(q)):
+        mds.vandermonde_inverse(np.array([2, 3, 5]), q)
+
+
 def test_verify_mds_property_exhaustive_and_sampled():
     assert mds.verify_mds_property(mds.MdsSpec(9, 6, 11), exhaustive=True)
     rng = np.random.default_rng(0)

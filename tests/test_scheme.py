@@ -176,8 +176,19 @@ def _decoder_and_answers(p, seed=4):
         lambda a, p: scheme.Answer(a.db_id, a.values[:-1]),
         lambda a, p: scheme.Answer(a.db_id, np.int64(3)),
         lambda a, p: scheme.Answer(a.db_id, a.values.reshape(-1, 1, 1)),
+        lambda a, p: scheme.Answer(a.db_id, np.append(a.values[:-1], -1)),
+        lambda a, p: scheme.Answer(a.db_id, np.append(a.values[:-1], p.q)),
     ],
-    ids=["negative-id", "id-equals-M", "over-long", "short", "scalar", "3-d"],
+    ids=[
+        "negative-id",
+        "id-equals-M",
+        "over-long",
+        "short",
+        "scalar",
+        "3-d",
+        "negative-value",
+        "value-equals-q",
+    ],
 )
 def test_decoder_rejects_invalid_answer(tamper):
     p = SchemeParams(2, 3, 2, 5)
