@@ -1,24 +1,22 @@
-"""Command-line surface: capacity tables, layout dumps, demos, audits, benches.
+"""Command-line surface: capacity tables, layout dumps, demos, audits, simulations.
 
 Exit codes: 0 success, 1 check failure, 2 usage error. All subcommands are
-deterministic given an explicit --seed (timings excluded); when a seed is
-needed but absent one is generated and printed so runs stay reproducible.
+deterministic given an explicit --seed; when a seed is needed but absent one
+is generated and printed so runs stay reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import secrets as _secrets
 import sys
-import time
 
 import numpy as np
 
 from . import audit, scheme, simnet
-from .layout import SchemeParams, build_layout, per_layer_counts, total_download
+from .layout import SchemeParams, build_layout, total_download
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -85,32 +83,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--log-dir", type=str, default=None,
                        help="session log directory (or env TPIR_LOG_DIR)")
 
-    p_bench = sp.add_parser("bench", help="per-phase timings over a grid")
-    p_bench.add_argument("--max-K", type=int, default=3)
-    p_bench.add_argument("--max-N", type=int, default=4)
-    p_bench.add_argument("--trials", type=int, default=3)
-    p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument("--format", choices=("table", "records"), default="table")
-
     return ap
 
 
 def _params_from(args) -> SchemeParams:
-    M = getattr(args, "M", None)
-    if M is None:
-        M = args.N
-    return SchemeParams(args.K, args.N, args.T, M,
-                        q=getattr(args, "q", None), seed=_resolve_seed(args))
-
-
-def _resolve_seed(args) -> int:
-    seed = getattr(args, "seed", None)
+    """M defaults to N; subcommands without --seed (layout) use seed 0."""
+    M = args.N if args.M is None else args.M
+    seed = getattr(args, "seed", 0)
     if seed is None:
         seed = int(os.environ.get("TPIR_SEED", "-1"))
         if seed < 0:
             seed = _secrets.randbelow(2**31)
             print(f"seed: {seed} (generated; pass --seed to reproduce)")
-    return seed
+    return SchemeParams(args.K, args.N, args.T, M, q=args.q, seed=seed)
 
 
 def _emit(rows: list[dict], fmt: str, headers: list[str] | None = None):
@@ -142,7 +127,7 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_layout(args) -> int:
-    params = _params_from_no_seed(args)
+    params = _params_from(args)
     lay = build_layout(params, args.desired)
     rows = [
         {
@@ -162,11 +147,6 @@ def cmd_layout(args) -> int:
     return EXIT_OK
 
 
-def _params_from_no_seed(args) -> SchemeParams:
-    M = getattr(args, "M", None) or args.N
-    return SchemeParams(args.K, args.N, args.T, M, q=getattr(args, "q", None))
-
-
 def cmd_demo(args) -> int:
     params = _params_from(args)
     if params.L > _DEMO_GUARD:
@@ -176,11 +156,13 @@ def cmd_demo(args) -> int:
     rng = np.random.default_rng(params.seed)
     store = scheme.MessageStore.random(params, rng)
     desired = int(rng.integers(params.K))
+    out = simnet.run_session(params, desired, store, rng=rng)
+    session = out["session"]
     print(f"# Retrieval demo: K={params.K} messages of L={params.L} symbols, "
           f"N={params.N} of M={params.M} databases answer, "
           f"T={params.T}-collusion privacy, GF({params.q})")
     print(f"\n## Layout (desired message: {desired})")
-    lay = build_layout(params, desired)
+    lay = session.plan.layout
     for b in lay.blocks:
         kind = "desired+side-info" if b.contains_desired and len(b.subset) > 1 else (
             "desired" if b.contains_desired else "side information")
@@ -188,20 +170,14 @@ def cmd_demo(args) -> int:
               f"({kind}, alpha={b.alpha})")
     print(f"  => {lay.per_db} rows per database, {total_download(params)} total")
 
-    secrets = scheme.sample_secrets(params, rng)
-    plan = scheme.build_queries(params, desired, secrets, layout=lay)
     print("\n## Per-database answers")
-    answers = []
-    for m in range(params.M):
-        a = scheme.answer_query(m, plan.matrices[m], store)
-        answers.append(a)
-        shown = ", ".join(map(str, a.values[:8])) + (", ..." if len(a.values) > 8 else "")
-        print(f"  db {m}: [{shown}] ({len(a.values)} symbols)")
+    for m, buf in session.transcript["answer_bytes"].items():
+        values = simnet.decode_answer(buf)[0].values
+        shown = ", ".join(map(str, values[:8])) + (", ..." if len(values) > 8 else "")
+        print(f"  db {m}: [{shown}] ({len(values)} symbols)")
 
-    used = list(range(params.N))
-    decoded = scheme.decode(params, desired, secrets, [answers[m] for m in used])
-    ok = np.array_equal(decoded, store.data[desired])
-    print(f"\n## Decode from databases {used}")
+    ok = np.array_equal(out["decoded"], store.data[desired])
+    print(f"\n## Decode from databases {session.transcript['used_responders']}")
     print(f"  recovered message {desired} exactly: {ok}")
     rate = scheme.achieved_rate(params)
     cap = audit.capacity(params.K, params.N, params.T)
@@ -269,52 +245,12 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_bench(args) -> int:
-    seed = _resolve_seed(args)
-    rows = []
-    for K in range(1, args.max_K + 1):
-        for N in range(2, args.max_N + 1):
-            for T in range(1, N + 1):
-                params = SchemeParams(K, N, T, N + 1, seed=seed)
-                rng = np.random.default_rng(seed)
-                phases = {"sample_secrets": 0.0, "build_queries": 0.0,
-                          "answer": 0.0, "decode": 0.0}
-                for _ in range(args.trials):
-                    t = time.perf_counter()
-                    secrets = scheme.sample_secrets(params, rng)
-                    phases["sample_secrets"] += time.perf_counter() - t
-                    t = time.perf_counter()
-                    plan = scheme.build_queries(params, 0, secrets)
-                    phases["build_queries"] += time.perf_counter() - t
-                    store = scheme.MessageStore.random(params, rng)
-                    t = time.perf_counter()
-                    answers = [scheme.answer_query(m, plan.matrices[m], store)
-                               for m in range(params.M)]
-                    phases["answer"] += time.perf_counter() - t
-                    t = time.perf_counter()
-                    decoder = scheme.Decoder(params, 0, secrets, plan.layout)
-                    decoded = decoder.decode(answers[: params.N])
-                    phases["decode"] += time.perf_counter() - t
-                    assert np.array_equal(decoded, store.data[0])
-                symbols = total_download(params) * args.trials
-                for phase, dt in phases.items():
-                    rows.append({
-                        "K": K, "N": N, "T": T, "M": params.M, "q": params.q,
-                        "seed": seed, "phase": phase,
-                        "seconds": round(dt, 6),
-                        "symbols_per_second": round(symbols / dt) if dt > 0 else None,
-                    })
-    _emit(rows, args.format)
-    return EXIT_OK
-
-
 _DISPATCH = {
     "capacity": cmd_capacity,
     "layout": cmd_layout,
     "demo": cmd_demo,
     "audit": cmd_audit,
     "simulate": cmd_simulate,
-    "bench": cmd_bench,
 }
 
 

@@ -1,20 +1,16 @@
-"""Prime-field GF(q) arithmetic: the symbol alphabet for messages, codes and queries.
+"""The prime field GF(q): the symbol alphabet for messages, codes and queries.
 
-Scalars are represented canonically as integers in ``[0, q)``. Matrix work is
-done on numpy integer arrays in :mod:`tpir.linalg`; this module owns the
-modulus itself, scalar operations, and the fixed-width byte encoding of
-field elements.
+Elements are represented canonically as integers in ``[0, q)``, held in numpy
+int64 arrays; arithmetic on them is array work in :mod:`tpir.linalg` and
+:mod:`tpir.mds`. This module chooses and checks the prime modulus and owns the
+fixed-width byte encoding of field elements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "FieldModulus",
-    "FieldElement",
     "is_prime",
     "smallest_prime_geq",
     "element_width",
@@ -54,78 +50,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def smallest_prime_geq(n: int) -> "FieldModulus":
-    """Smallest prime modulus p >= n."""
+def smallest_prime_geq(n: int) -> int:
+    """Smallest prime p >= n."""
     p = max(n, 2)
     while not is_prime(p):
         p += 1
-    return FieldModulus(p)
-
-
-@dataclass(frozen=True)
-class FieldModulus:
-    """A verified prime modulus q >= 2."""
-
-    q: int
-
-    def __post_init__(self):
-        if self.q < 2 or not is_prime(self.q):
-            raise ValueError(f"modulus must be prime and >= 2, got {self.q}")
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.q, self)
-
-    @property
-    def width(self) -> int:
-        return element_width(self.q)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A canonical representative of GF(q): 0 <= value < q."""
-
-    value: int
-    modulus: FieldModulus
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.modulus.q:
-            raise ValueError(f"value {self.value} not in [0, {self.modulus.q})")
-
-    def _check(self, other: "FieldElement") -> int:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"modulus mismatch: {self.modulus.q} vs {other.modulus.q}"
-            )
-        return self.modulus.q
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        q = self._check(other)
-        return FieldElement((self.value + other.value) % q, self.modulus)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        q = self._check(other)
-        return FieldElement((self.value - other.value) % q, self.modulus)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        q = self._check(other)
-        return FieldElement(self.value * other.value % q, self.modulus)
-
-    def inv(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return FieldElement(pow(self.value, -1, self.modulus.q), self.modulus)
-
-
-def add(x: FieldElement, y: FieldElement) -> FieldElement:
-    return x + y
-
-
-def mul(x: FieldElement, y: FieldElement) -> FieldElement:
-    return x * y
-
-
-def inv(x: FieldElement) -> FieldElement:
-    return x.inv()
+    return p
 
 
 def element_width(q: int) -> int:

@@ -15,9 +15,7 @@ any N responders hold exactly alpha of them.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import comb
 
@@ -77,7 +75,7 @@ class SchemeParams:
             )
         needed = max_code_length(self.K, self.N, self.T, self.M)
         if self.q is None:
-            object.__setattr__(self, "q", smallest_prime_geq(max(needed, 2)).q)
+            object.__setattr__(self, "q", smallest_prime_geq(max(needed, 2)))
         else:
             if not is_prime(self.q):
                 raise ValueError(f"q={self.q} is not prime")
@@ -159,30 +157,6 @@ class BlockLayout:
             lines.append(f"{name:<16}{b.alpha:>6}{b.block_len:>6}{b.per_db_len:>7}  {role}")
         lines.append(f"per-database total: {self.per_db} of {total_download(p)} overall")
         return "\n".join(lines)
-
-    def dump_json(self) -> str:
-        def block_row(b: Block):
-            return {
-                "subset": list(b.subset),
-                "alpha": b.alpha,
-                "block_len": b.block_len,
-                "per_db_len": b.per_db_len,
-                "contains_desired": b.contains_desired,
-                "code_len": b.code_len,
-                "desired_offset": b.desired_offset,
-                "secret_rows": {str(k): list(v) for k, v in sorted(b.secret_rows.items())},
-            }
-
-        p = self.params
-        return json.dumps(
-            {
-                "params": {"K": p.K, "N": p.N, "T": p.T, "M": p.M, "q": p.q},
-                "desired": self.desired,
-                "per_db": self.per_db,
-                "blocks": [block_row(b) for b in self.blocks],
-            },
-            indent=2,
-        )
 
 
 def canonical_subsets(K: int) -> list[tuple[int, ...]]:
@@ -268,8 +242,3 @@ def per_db_download(params: SchemeParams) -> int:
 def total_download(params: SchemeParams) -> int:
     """Symbols downloaded from the N responding databases."""
     return params.N * per_db_download(params)
-
-
-def achievable_rate(params: SchemeParams) -> Fraction:
-    """Exact rate L / total_download; equals the capacity formula."""
-    return Fraction(params.L, total_download(params))

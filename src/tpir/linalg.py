@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .field import element_width, elements_from_bytes, elements_to_bytes
+from .field import elements_to_bytes
 
 __all__ = [
     "SingularMatrixError",
@@ -32,12 +32,10 @@ __all__ = [
     "mat_mul",
     "rank",
     "invert",
-    "solve",
     "sample_uniform_full_rank",
     "enumerate_full_rank",
     "count_full_rank",
     "serialize_matrix",
-    "deserialize_matrix",
 ]
 
 
@@ -230,24 +228,6 @@ def invert(a, q: int) -> np.ndarray:
     return aug[:, n:]
 
 
-def solve(a, rhs, q: int) -> np.ndarray:
-    """Solve a @ x = rhs over GF(q) for square nonsingular a."""
-    a, rhs = _as_array(a), np.asarray(rhs, dtype=np.int64)
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError(f"matrix not square: {a.shape}")
-    vec = rhs.ndim == 1
-    rhs2 = rhs.reshape(n, -1) if vec else rhs
-    if rhs2.shape[0] != n:
-        raise ValueError(f"rhs has {rhs2.shape[0]} rows, expected {n}")
-    aug = np.concatenate([a % q, rhs2 % q], axis=1)
-    r, _ = _eliminate(aug, q, n, jordan=True)
-    if r < n:
-        raise SingularMatrixError(r, n)
-    x = aug[:, n:]
-    return x.ravel() if vec else x
-
-
 def sample_uniform_full_rank(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from GL(n, q), deterministic given the generator state.
 
@@ -311,14 +291,3 @@ def serialize_matrix(a, q: int) -> bytes:
     """rows, cols as 4-byte little-endian counts, then row-major elements."""
     a = _as_array(a)
     return struct.pack("<II", a.shape[0], a.shape[1]) + elements_to_bytes(a, q)
-
-
-def deserialize_matrix(buf: bytes, q: int) -> np.ndarray:
-    if len(buf) < 8:
-        raise ValueError(f"matrix header needs 8 bytes, got {len(buf)}")
-    rows, cols = struct.unpack("<II", buf[:8])
-    w = element_width(q)
-    expected = 8 + rows * cols * w
-    if len(buf) != expected:
-        raise ValueError(f"expected {expected} bytes for {rows}x{cols}, got {len(buf)}")
-    return elements_from_bytes(buf[8:], q, rows * cols).reshape(rows, cols)

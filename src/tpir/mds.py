@@ -20,8 +20,6 @@ from .field import is_prime
 __all__ = [
     "MdsSpec",
     "generator",
-    "encode",
-    "recover_info",
     "submatrix_inverse",
     "vandermonde_inverse",
     "verify_mds_property",
@@ -99,32 +97,6 @@ def verify_mds_property(
             for _ in range(samples)
         )
     return _check_submatrices(g, spec.k, spec.q, subsets) is None
-
-
-def encode(spec: MdsSpec, info) -> np.ndarray:
-    """Codeword(s) generator(spec) @ info; info has k rows."""
-    info = np.asarray(info, dtype=np.int64)
-    vec = info.ndim == 1
-    info2 = info.reshape(spec.k, -1) if vec else info
-    if info2.shape[0] != spec.k:
-        raise ValueError(f"info has {info2.shape[0]} rows, expected k={spec.k}")
-    out = linalg.mat_mul(generator(spec), info2, spec.q)
-    return out.ravel() if vec else out
-
-
-def recover_info(spec: MdsSpec, coords, values) -> np.ndarray:
-    """Invert the code from any k coordinates.
-
-    coords: k distinct codeword positions; values: the symbols at those
-    positions. Returns the info matrix x with generator[coords, :] @ x = values.
-    """
-    coords = list(coords)
-    if len(set(coords)) != len(coords):
-        raise ValueError(f"coordinates not distinct: {coords}")
-    if len(coords) != spec.k:
-        raise ValueError(f"need exactly k={spec.k} coordinates, got {len(coords)}")
-    sub = generator(spec)[coords]
-    return linalg.solve(sub, np.asarray(values, dtype=np.int64), spec.q)
 
 
 def submatrix_inverse(spec: MdsSpec, coords) -> np.ndarray:

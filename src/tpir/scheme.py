@@ -12,7 +12,7 @@ secret matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -65,7 +65,6 @@ class SchemeSecrets:
     """K independent uniform draws from GL(N^K, q), private to the user."""
 
     matrices: tuple[np.ndarray, ...]
-    seed: int | None = None
 
 
 @dataclass(frozen=True)

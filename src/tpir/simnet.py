@@ -172,7 +172,6 @@ class DatabaseNode:
     id: int
     store: scheme.MessageStore
     behavior: str = "responsive"  # responsive | silent
-    latency: float = 0.0
 
     def answer(self, query_bytes: bytes) -> bytes | None:
         if self.behavior == "silent":
@@ -191,12 +190,6 @@ class RetrievalSession:
     drop_set: frozenset[int]
     transcript: dict = dc_field(default_factory=dict)
 
-    @property
-    def responders(self) -> list[int]:
-        """The N lowest-id nodes outside the drop set."""
-        alive = [m for m in range(self.params.M) if m not in self.drop_set]
-        return alive[: self.params.N]
-
 
 def _digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
@@ -209,13 +202,11 @@ def run_session(
     drop_set=(),
     rng: np.random.Generator | None = None,
     log_dir: str | None = None,
-    latencies: dict[int, float] | None = None,
 ) -> dict:
     """One full retrieval against M simulated nodes; returns decode + metrics.
 
-    ``drop_set`` marks nodes silent and must leave at least N responders.
-    With ``latencies`` set, responder choice is by arrival time (first N)
-    instead of lowest id — a demonstration mode, not part of the model.
+    ``drop_set`` marks nodes silent and must leave at least N responders;
+    the decoder uses the N lowest-id responders.
     """
     p = params
     drop_set = frozenset(int(m) for m in drop_set)
@@ -234,12 +225,7 @@ def run_session(
     layout = build_layout(p, desired)
     plan = scheme.build_queries(p, desired, secrets, layout=layout)
     nodes = [
-        DatabaseNode(
-            m,
-            store,
-            "silent" if m in drop_set else "responsive",
-            latency=(latencies or {}).get(m, 0.0),
-        )
+        DatabaseNode(m, store, "silent" if m in drop_set else "responsive")
         for m in range(p.M)
     ]
 
@@ -254,11 +240,7 @@ def run_session(
         if reply is not None:
             answer_bytes[node.id] = reply
 
-    if latencies:
-        arrival = sorted(answer_bytes, key=lambda m: (nodes[m].latency, m))
-        used = sorted(arrival[: p.N])
-    else:
-        used = sorted(answer_bytes)[: p.N]
+    used = sorted(answer_bytes)[: p.N]
     answers = [decode_answer(answer_bytes[m])[0] for m in used]
     decoder = scheme.Decoder(p, desired, secrets, layout)
     decoded = decoder.decode(answers)
@@ -280,12 +262,11 @@ def run_session(
         "wall_time": wall,
         "responders": used,
     }
-    store_digest = _digest(elements_to_bytes(store.stacked, p.q))
-    _log_session(p, drop_set, session, metrics, store_digest, log_dir)
+    _log_session(p, drop_set, session, metrics, store, log_dir)
     return {"decoded": decoded, "session": session, "metrics": metrics}
 
 
-def _log_session(p, drop_set, session, metrics, store_digest, log_dir):
+def _log_session(p, drop_set, session, metrics, store, log_dir):
     """Append a privacy-safe session record (the desired index is omitted)."""
     log_dir = log_dir or os.environ.get("TPIR_LOG_DIR")
     if not log_dir:
@@ -295,7 +276,7 @@ def _log_session(p, drop_set, session, metrics, store_digest, log_dir):
         "timestamp": time.time(),
         "params": {"K": p.K, "N": p.N, "T": p.T, "M": p.M, "q": p.q, "seed": p.seed},
         "drop_set": sorted(drop_set),
-        "store_digest": store_digest,
+        "store_digest": _digest(elements_to_bytes(store.stacked, p.q)),
         "query_digests": {
             str(m): _digest(b) for m, b in session.transcript["query_bytes"].items()
         },

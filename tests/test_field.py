@@ -22,52 +22,11 @@ def test_is_prime_carmichael_and_large():
 
 
 def test_smallest_prime_geq():
-    assert field.smallest_prime_geq(2).q == 2
-    assert field.smallest_prime_geq(9).q == 11
-    assert field.smallest_prime_geq(16).q == 17
-    assert field.smallest_prime_geq(17).q == 17
-    assert field.smallest_prime_geq(1).q == 2
-
-
-def test_element_arithmetic_examples():
-    q = field.FieldModulus(7)
-    a, b = field.FieldElement(3, q), field.FieldElement(4, q)
-    assert (a + b).value == 0
-    assert (a * b).value == 5
-    assert (a - b).value == 6
-    assert field.inv(a).value == 5  # 3 * 5 = 15 = 1 mod 7
-
-
-def test_out_of_range_rejected():
-    q = field.FieldModulus(7)
-    with pytest.raises(ValueError):
-        field.FieldElement(7, q)
-    with pytest.raises(ValueError):
-        field.FieldElement(-1, q)
-
-
-@st.composite
-def field_pair(draw):
-    q = draw(st.sampled_from(PRIMES))
-    m = field.FieldModulus(q)
-    x = field.FieldElement(draw(st.integers(0, q - 1)), m)
-    y = field.FieldElement(draw(st.integers(0, q - 1)), m)
-    return x, y
-
-
-@given(field_pair())
-def test_field_axioms(pair):
-    x, y = pair
-    q = x.modulus
-    zero = field.FieldElement(0, q)
-    one = field.FieldElement(1, q)
-    assert x + y == y + x
-    assert x * y == y * x
-    assert x + zero == x
-    assert x * one == x
-    assert (x - y) + y == x
-    if x.value != 0:
-        assert x * field.inv(x) == one
+    assert field.smallest_prime_geq(2) == 2
+    assert field.smallest_prime_geq(9) == 11
+    assert field.smallest_prime_geq(16) == 17
+    assert field.smallest_prime_geq(17) == 17
+    assert field.smallest_prime_geq(1) == 2
 
 
 @given(st.sampled_from(PRIMES), st.integers(1, 64))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tpir import layout
+from tpir import layout, scheme
 from tpir.layout import SchemeParams, build_layout
 
 
@@ -99,7 +99,7 @@ def test_desired_code_length():
 
 def test_rate_is_m_independent():
     rates = {
-        layout.achievable_rate(SchemeParams(2, 3, 2, M)) for M in (3, 4, 5, 7)
+        scheme.achieved_rate(SchemeParams(2, 3, 2, M)) for M in (3, 4, 5, 7)
     }
     assert rates == {Fraction(3, 5)}
 
@@ -107,7 +107,7 @@ def test_rate_is_m_independent():
 def test_t_equals_n_downloads_everything():
     p = SchemeParams(3, 2, 2, 2)
     assert layout.total_download(p) == p.K * p.L
-    assert layout.achievable_rate(p) == Fraction(1, p.K)
+    assert scheme.achieved_rate(p) == Fraction(1, p.K)
 
 
 def test_param_validation():

@@ -1,11 +1,12 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from tpir import linalg
+from tpir import field, linalg
 
 
 def gl_order(n, q):
@@ -46,21 +47,6 @@ def test_invert_round_trip(mq):
         return
     assert np.array_equal(linalg.mat_mul(a, inv, q), np.eye(n, dtype=np.int64))
     assert np.array_equal(linalg.mat_mul(inv, a, q), np.eye(n, dtype=np.int64))
-
-
-@given(square_matrix(), st.integers(0, 2**32 - 1))
-def test_solve_matches_multiplication(mq, seed):
-    a, q = mq
-    n = a.shape[0]
-    rng = np.random.default_rng(seed)
-    x = rng.integers(0, q, size=(n, 2))
-    rhs = linalg.mat_mul(a, x, q)
-    try:
-        got = linalg.solve(a, rhs, q)
-    except linalg.SingularMatrixError:
-        assert linalg.rank(a, q) < n
-        return
-    assert np.array_equal(got, x)
 
 
 @given(square_matrix(), st.integers(0, 2**32 - 1))
@@ -166,17 +152,6 @@ def test_blocked_rref_matches_unblocked_loop(q):
     assert np.array_equal(blocked, reference)
 
 
-@pytest.mark.parametrize("q", [FLOAT_Q, INT64_Q])
-def test_solve_matches_multiplication_blocked(q):
-    n = 150
-    rng = np.random.default_rng(3)
-    a = linalg.sample_uniform_full_rank(n, q, rng)
-    x = rng.integers(0, q, size=(n, 3))
-    assert np.array_equal(linalg.solve(a, linalg.mat_mul(a, x, q), q), x)
-    v = x[:, 0]
-    assert np.array_equal(linalg.solve(a, linalg.mat_mul(a, x, q)[:, 0], q), v)
-
-
 def test_sampler_blocked_dimension_is_full_rank_and_seeded():
     m = linalg.sample_uniform_full_rank(130, 5, np.random.default_rng(11))
     assert m.shape == (130, 130)
@@ -278,14 +253,9 @@ def test_invert_rank_solve_match_reference(q):
     n = 150
     rng = np.random.default_rng(q)
     a = linalg.sample_uniform_full_rank(n, q, rng)
-    rhs = rng.integers(0, q, size=(n, 4))
-    for right, got in (
-        (np.eye(n, dtype=np.int64), linalg.invert(a, q)),
-        (rhs, linalg.solve(a, rhs, q)),
-    ):
-        aug = np.concatenate([a, right], axis=1)
-        assert _reference_eliminate(aug, q, n, jordan=True)[0] == n
-        assert np.array_equal(got, aug[:, n:])
+    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
+    assert _reference_eliminate(aug, q, n, jordan=True)[0] == n
+    assert np.array_equal(linalg.invert(a, q), aug[:, n:])
     for b in (_rank_r(n, 180, 110, q, rng, slice(60, 120)), rng.integers(0, q, size=(n, n))):
         assert linalg.rank(b, q) == _reference_eliminate(b.copy(), q, b.shape[1], False)[0]
     singular = _rank_r(n, n, 120, q, rng)
@@ -297,13 +267,9 @@ def test_invert_rank_solve_match_reference(q):
 def test_elimination_rejects_modulus_above_2_31():
     q = 2**61 - 1  # prime; a product of two residues overflows int64
     a = np.random.default_rng(0).integers(0, q, size=(3, 3))
-    for call in (
-        lambda: linalg.invert(a, q),
-        lambda: linalg.rank(a, q),
-        lambda: linalg.solve(a, a[:, 0], q),
-    ):
+    for call in (linalg.invert, linalg.rank):
         with pytest.raises(ValueError, match=str(q)):
-            call()
+            call(a, q)
     # mat_mul alone stays exact for any q
     want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % q for col in a.T] for row in a]
     assert linalg.mat_mul(a, a, q).tolist() == want
@@ -313,7 +279,9 @@ def test_elimination_rejects_modulus_above_2_31():
 def test_serialize_round_trip(mq):
     a, q = mq
     buf = linalg.serialize_matrix(a, q)
-    assert np.array_equal(linalg.deserialize_matrix(buf, q), a % q)
+    assert struct.unpack("<II", buf[:8]) == a.shape
+    values = field.elements_from_bytes(buf[8:], q, a.size)
+    assert np.array_equal(values.reshape(a.shape), a % q)
 
 
 def test_singular_error_carries_rank():

@@ -79,14 +79,6 @@ def test_query_bytes_never_mention_desired(session_setup):
             assert (q, K, L) == (p.q, p.K, p.L)
 
 
-def test_latency_mode_picks_first_arrivals(session_setup):
-    p, store, rng = session_setup
-    latencies = {0: 9.0, 1: 9.0, 2: 0.1, 3: 0.2, 4: 0.3}
-    out = simnet.run_session(p, 0, store, rng=rng, latencies=latencies)
-    assert out["metrics"]["responders"] == [2, 3, 4]
-    assert np.array_equal(out["decoded"], store.data[0])
-
-
 def test_session_log_omits_desired_index(tmp_path, session_setup):
     p, store, rng = session_setup
     simnet.run_session(p, 1, store, drop_set={2}, rng=rng, log_dir=str(tmp_path))
