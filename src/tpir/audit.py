@@ -139,19 +139,9 @@ def structural_privacy_check(
         for b in pair_blocks:
             spec = mds.MdsSpec(b.code_len, b.alpha, q)
             gen = mds.generator(spec)
-            child = layout.by_subset.get(tuple(sorted(b.subset + (desired,))))
-            coords = np.concatenate(
-                [np.arange(m * b.per_db_len, (m + 1) * b.per_db_len) for m in tsub]
-                + (
-                    [
-                        b.block_len
-                        + np.arange(m * child.per_db_len, (m + 1) * child.per_db_len)
-                        for m in tsub
-                    ]
-                    if child is not None and child.per_db_len
-                    else []
-                )
-            )
+            # info coordinates in b, then parity coordinates in the aligned block
+            parity = layout.by_subset[b.aligned]
+            coords = np.concatenate([b.coords(tsub), b.block_len + parity.coords(tsub)])
             if coords.size != b.alpha:
                 return CheckResult(
                     name,
@@ -170,14 +160,7 @@ def structural_privacy_check(
             for k in b.subset:
                 per_msg[k] += coords.size
         # desired-message rows seen by the subset
-        nodes = np.concatenate(
-            [
-                b.desired_offset + np.arange(m * b.per_db_len, (m + 1) * b.per_db_len)
-                for b in layout.blocks
-                if b.contains_desired and b.per_db_len
-                for m in tsub
-            ]
-        )
+        nodes = layout.desired_coords(tsub)
         per_msg[desired] = nodes.size
         if any(v != expected_per_msg for v in per_msg.values()):
             return CheckResult(
@@ -206,15 +189,12 @@ def _plan_support_mismatch(plan: scheme.QueryPlan):
     p = layout.params
     L = p.L
     for m, qm in enumerate(plan.matrices):
-        row = 0
         for b in layout.blocks:
-            seg = qm[row : row + b.per_db_len]
             allowed = np.zeros(p.K * L, dtype=bool)
             for k in b.subset:
                 allowed[k * L : (k + 1) * L] = True
-            if seg[:, ~allowed].any():
+            if qm[b.rows][:, ~allowed].any():
                 return {"db": m, "block": b.subset}
-            row += b.per_db_len
     return None
 
 
@@ -230,32 +210,17 @@ def _plan_alignment_mismatch(plan: scheme.QueryPlan):
     layout = plan.layout
     p = layout.params
     L, q = p.L, p.q
-    offsets = {}
-    off = 0
-    for b in layout.blocks:
-        offsets[b.subset] = off
-        off += b.per_db_len
     for b in layout.blocks:
         if b.contains_desired or b.alpha == 0:
             continue
-        child = layout.by_subset.get(tuple(sorted(b.subset + (plan.desired,))))
+        # info chunks in b, then parity chunks in the aligned block, by database
+        parity = layout.by_subset[b.aligned]
         spec = mds.MdsSpec(b.code_len, b.alpha, q)
         gen = mds.generator(spec)
         for k in b.subset:
-            cw = np.zeros((b.code_len, L), dtype=np.int64)
-            for m in range(p.M):
-                r0 = offsets[b.subset]
-                cw[m * b.per_db_len : (m + 1) * b.per_db_len] = plan.matrices[m][
-                    r0 : r0 + b.per_db_len, k * L : (k + 1) * L
-                ]
-                if child is not None and child.per_db_len:
-                    r0 = offsets[child.subset]
-                    cw[
-                        b.block_len + m * child.per_db_len :
-                        b.block_len + (m + 1) * child.per_db_len
-                    ] = plan.matrices[m][
-                        r0 : r0 + child.per_db_len, k * L : (k + 1) * L
-                    ]
+            cw = np.concatenate(
+                [qm[blk.rows, k * L : (k + 1) * L] for blk in (b, parity) for qm in plan.matrices]
+            )
             head = np.arange(b.alpha)
             info = linalg.mat_mul(mds.submatrix_inverse(spec, head), cw[: b.alpha], q)
             if not np.array_equal(linalg.mat_mul(gen, info, q), cw):
@@ -305,6 +270,11 @@ def empirical_privacy_check(
     """
     p = params
     t_subset = tuple(sorted(t_subset))
+    bad = sorted({m for m in t_subset if not 0 <= m < p.M or t_subset.count(m) > 1})
+    if bad:
+        raise ValueError(
+            f"collusion subset needs distinct ids in 0..{p.M - 1}, bad ids {bad}"
+        )
     if len(t_subset) != p.T:
         raise ValueError(f"collusion subset must have size T={p.T}")
     rng = rng or np.random.default_rng(p.seed)

@@ -6,6 +6,15 @@ enumerated canonically (by size, then lexicographically) and each block's
 coordinates are split into contiguous per-database chunks in database order.
 Message indices and database ids are 0-based throughout.
 
+This module is the only place that knows the row map. A database's D query
+rows (and answer symbols) are its chunks of every block, concatenated in
+canonical order: ``Block.rows`` is one block's slice of them and
+``Block.coords(dbs)`` the block-vector coordinates that databases ``dbs``
+hold. A block containing the desired index carries a slice of the desired
+codeword, from ``desired_offset``. Any other block B carries the information
+coordinates of its own MDS code, whose parity rides in block B + {desired}
+(interference alignment); ``aligned`` links the two blocks both ways.
+
 With K messages, N required responders, T colluding databases and M >= N
 total databases, a size-j block has alpha = N * (N-T)^(j-1) * T^(K-j) "core"
 coordinates; the materialized block vector has (M/N) * alpha entries so that
@@ -18,6 +27,8 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
+
+import numpy as np
 
 from .field import is_prime, smallest_prime_geq
 from .linalg import check_modulus
@@ -99,7 +110,11 @@ class Block:
     alpha: int  # core coordinate count (what N responders deliver)
     block_len: int  # materialized length, (M/N) * alpha
     per_db_len: int  # contiguous chunk each database serves
+    row_offset: int  # where the chunk starts in a database's D rows
     contains_desired: bool
+    # the block carrying the same pair code: B + {desired} for a pair block B,
+    # B for that block, None for {desired}
+    aligned: tuple[int, ...] | None = None
     # pair blocks (desired not in subset): MDS code length and secret rows
     code_len: int | None = None  # (M/T) * alpha
     secret_rows: dict[int, tuple[int, int]] = field(default_factory=dict)
@@ -110,8 +125,15 @@ class Block:
     def size(self) -> int:
         return len(self.subset)
 
-    def db_slice(self, m: int) -> slice:
-        return slice(m * self.per_db_len, (m + 1) * self.per_db_len)
+    @property
+    def rows(self) -> slice:
+        """This block's rows in one database's query or answer."""
+        return slice(self.row_offset, self.row_offset + self.per_db_len)
+
+    def coords(self, dbs) -> np.ndarray:
+        """Block-vector coordinates held by databases ``dbs``, in that order."""
+        dbs = np.asarray(dbs, dtype=np.int64).reshape(-1, 1)
+        return (dbs * self.per_db_len + np.arange(self.per_db_len)).reshape(-1)
 
     @property
     def parity_len(self) -> int:
@@ -133,6 +155,12 @@ class BlockLayout:
     @property
     def per_db(self) -> int:
         return sum(b.per_db_len for b in self.blocks)
+
+    def desired_coords(self, dbs) -> np.ndarray:
+        """Desired-codeword coordinates held by databases ``dbs``, block by block."""
+        return np.concatenate(
+            [b.desired_offset + b.coords(dbs) for b in self.blocks if b.contains_desired]
+        )
 
     @property
     def desired_code_len(self) -> int:
@@ -173,20 +201,25 @@ def build_layout(params: SchemeParams, desired: int) -> BlockLayout:
         raise ValueError(f"desired index {desired} out of range [0, {K})")
     blocks = []
     secret_cursor = {k: 0 for k in range(K) if k != desired}
-    desired_cursor = 0
+    desired_cursor = row = 0
     for subset in canonical_subsets(K):
         j = len(subset)
         alpha = _alpha(K, N, T, j)
         block_len = M * (N - T) ** (j - 1) * T ** (K - j)  # (M/N) * alpha
-        per_db = block_len // M
+        shape = dict(
+            subset=subset,
+            alpha=alpha,
+            block_len=block_len,
+            per_db_len=block_len // M,
+            row_offset=row,
+        )
+        row += block_len // M
         if desired in subset:
             blocks.append(
                 Block(
-                    subset=subset,
-                    alpha=alpha,
-                    block_len=block_len,
-                    per_db_len=per_db,
+                    **shape,
                     contains_desired=True,
+                    aligned=tuple(k for k in subset if k != desired) or None,
                     desired_offset=desired_cursor,
                 )
             )
@@ -203,11 +236,9 @@ def build_layout(params: SchemeParams, desired: int) -> BlockLayout:
                 secret_cursor[k] += alpha
             blocks.append(
                 Block(
-                    subset=subset,
-                    alpha=alpha,
-                    block_len=block_len,
-                    per_db_len=per_db,
+                    **shape,
                     contains_desired=False,
+                    aligned=tuple(sorted(subset + (desired,))),
                     code_len=code_len,
                     secret_rows=rows,
                 )

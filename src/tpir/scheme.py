@@ -1,13 +1,17 @@
 """Protocol core: secrets, query coefficient matrices, answering, decoding.
 
 Queries are materialized as explicit D x (K*L) coefficient matrices over the
-stacked message vector (W_0; ...; W_{K-1}), one per database. Answering is a
-single matrix-vector product. Decoding processes blocks in increasing subset
-size: every block that mixes the desired message has its interference
-reconstructed from the matching undesired-only block (any alpha coordinates
-of an MDS codeword determine the rest), subtracted off, and the surviving
-desired-codeword coordinates are inverted through the desired code and the
-secret matrix.
+stacked message vector (W_0; ...; W_{K-1}), one per database. Which of those
+rows (and of the answer symbols) belong to which block, and which codeword
+coordinates each database holds, comes from the layout's row map only
+(``Block.rows``, ``Block.coords``, ``Block.aligned``). A block's codeword
+segment is M contiguous per-database chunks, so one reshape spreads it over
+all M matrices. Answering is a single matrix-vector product. Decoding
+processes blocks in increasing subset size: every block that mixes the
+desired message has its interference reconstructed from its aligned
+undesired-only block (any alpha coordinates of an MDS codeword determine the
+rest), subtracted off, and the surviving desired-codeword coordinates are
+inverted through the desired code and the secret matrix.
 """
 
 from __future__ import annotations
@@ -156,27 +160,23 @@ def build_queries(
             per_msg[k] = rows
         pair_rows[b.subset] = per_msg
 
-    D = layout.per_db
-    matrices = [np.zeros((D, K * L), dtype=np.int64) for _ in range(M)]
-    row = 0
+    # M separate arrays, not views of one (M, D, K*L) array: at K=4, N=5, T=2,
+    # M=7 one array (which numpy backs with transparent huge pages) raised
+    # the peak resident memory of building four plans by about 15 MB.
+    matrices = [np.zeros((layout.per_db, K * L), dtype=np.int64) for _ in range(M)]
     for b in layout.blocks:
-        pdl = b.per_db_len
-        if pdl == 0:
+        if b.per_db_len == 0:
             continue
-        parent = tuple(k for k in b.subset if k != desired)
-        for m in range(M):
-            sl = b.db_slice(m)
-            for k in b.subset:
-                if k == desired:
-                    seg = x_des[b.desired_offset + sl.start : b.desired_offset + sl.stop]
-                elif b.contains_desired:
-                    pblock = layout.by_subset[parent]
-                    off = pblock.block_len  # parity segment of the parent codeword
-                    seg = pair_rows[parent][k][off + sl.start : off + sl.stop]
-                else:
-                    seg = pair_rows[b.subset][k][sl]
-                matrices[m][row : row + pdl, k * L : (k + 1) * L] = seg
-        row += pdl
+        for k in b.subset:
+            if k == desired:
+                seg = x_des[b.desired_offset : b.desired_offset + b.block_len]
+            elif b.contains_desired:
+                # parity of the aligned pair code, exactly this block's length
+                seg = pair_rows[b.aligned][k][-b.block_len :]
+            else:
+                seg = pair_rows[b.subset][k][: b.block_len]
+            for matrix, chunk in zip(matrices, seg.reshape(M, b.per_db_len, L)):
+                matrix[b.rows, k * L : (k + 1) * L] = chunk
     return QueryPlan(desired=desired, layout=layout, matrices=tuple(matrices))
 
 
@@ -212,40 +212,20 @@ class Decoder:
         self.layout = layout
         self._secret_inv: np.ndarray | None = None
         self._per_subset: dict[tuple[int, ...], dict] = {}
-        # row offset of each block within a database's answer
-        self._row_offset = {}
-        off = 0
-        for b in layout.blocks:
-            self._row_offset[b.subset] = off
-            off += b.per_db_len
 
     def _subset_tables(self, responders: tuple[int, ...]) -> dict:
         cached = self._per_subset.get(responders)
         if cached is not None:
             return cached
-        q = self.params.q
-        coords = {
-            b.subset: np.concatenate(
-                [np.arange(m * b.per_db_len, (m + 1) * b.per_db_len) for m in responders]
-            )
-            if b.per_db_len
-            else np.empty(0, dtype=np.int64)
-            for b in self.layout.blocks
-        }
-        tables: dict = {"coords": coords, "pair_inv": {}}
-        nodes = []
+        tables: dict = {"pair_inv": {}}
         for b in self.layout.blocks:
-            if b.contains_desired:
-                if b.per_db_len:
-                    nodes.append(b.desired_offset + coords[b.subset])
-                continue
-            if b.alpha == 0 or b.parity_len == 0:
+            if b.contains_desired or b.alpha == 0 or b.parity_len == 0:
                 continue
             spec = _pair_spec(self.layout, b)
-            tables["pair_inv"][b.subset] = mds.submatrix_inverse(spec, coords[b.subset])
-        nodes = np.concatenate(nodes)
-        tables["nodes"] = nodes
-        tables["desired_inv"] = mds.vandermonde_inverse(nodes, q)
+            tables["pair_inv"][b.subset] = mds.submatrix_inverse(spec, b.coords(responders))
+        tables["desired_inv"] = mds.vandermonde_inverse(
+            self.layout.desired_coords(responders), self.params.q
+        )
         self._per_subset[responders] = tables
         return tables
 
@@ -256,8 +236,8 @@ class Decoder:
         matrix form decodes t independent stores in one pass (columns are
         independent right-hand sides of the same linear system). An answer
         whose database id is outside 0..M-1, whose values are not D symbols
-        long, or whose values are not residues in 0..q-1 raises
-        ``InvalidAnswerError``.
+        long, whose values are not residues in 0..q-1, or whose column count
+        differs from that of most answers raises ``InvalidAnswerError``.
         """
         p = self.params
         by_id = {}
@@ -285,33 +265,32 @@ class Decoder:
             by_id[a.db_id] = vals
         if len(by_id) < p.N:
             raise ValueError(f"need answers from {p.N} databases, got {len(by_id)}")
+        cols = [v.shape[1] for v in by_id.values()]
+        common = max(set(cols), key=cols.count)
+        for m, vals in by_id.items():
+            if vals.shape[1] != common:
+                raise InvalidAnswerError(
+                    m, f"{vals.shape[1]} columns, other answers have {common}"
+                )
         responders = tuple(sorted(by_id)[: p.N])
         tables = self._subset_tables(responders)
-        coords = tables["coords"]
+        answered = np.stack([by_id[m] for m in responders])  # (N, D, columns)
 
-        received = {}
-        for b in self.layout.blocks:
-            off = self._row_offset[b.subset]
-            received[b.subset] = np.concatenate(
-                [by_id[m][off : off + b.per_db_len] for m in responders]
-            )
+        def received(b):
+            return answered[:, b.rows].reshape(-1, common)
 
         q = p.q
         cleaned = []
         for b in self.layout.blocks:
             if not b.contains_desired or b.per_db_len == 0:
                 continue
-            vals = received[b.subset]
-            if b.size > 1:
-                parent = self.layout.by_subset[
-                    tuple(k for k in b.subset if k != self.desired)
-                ]
+            vals = received(b)
+            if b.aligned is not None:
+                pair = self.layout.by_subset[b.aligned]
                 # summed info symbols of the aligned interference codeword
-                u = linalg.mat_mul(
-                    tables["pair_inv"][parent.subset], received[parent.subset], q
-                )
-                gen = mds.generator(_pair_spec(self.layout, parent))
-                parity_rows = gen[parent.block_len + coords[b.subset]]
+                u = linalg.mat_mul(tables["pair_inv"][pair.subset], received(pair), q)
+                gen = mds.generator(_pair_spec(self.layout, pair))
+                parity_rows = gen[pair.block_len + b.coords(responders)]
                 interference = linalg.mat_mul(parity_rows, u, q)
                 vals = (vals - interference) % q
             cleaned.append(vals)

@@ -31,7 +31,6 @@ __all__ = [
     "decode_query",
     "encode_answer",
     "decode_answer",
-    "ingest_messages",
     "DatabaseNode",
     "RetrievalSession",
     "run_session",
@@ -133,38 +132,6 @@ def decode_answer(buf: bytes) -> tuple[scheme.Answer, int]:
     return scheme.Answer(db_id=db_id, values=elements_from_bytes(buf[off:], q, D)), q
 
 
-def ingest_messages(
-    source, params: SchemeParams, strict: bool = False
-) -> scheme.MessageStore:
-    """Build a MessageStore from raw bytes or a seeded-random directive.
-
-    ``source`` is either a byte stream of exactly K*L*element_width(q)
-    little-endian values (reduced mod q, or rejected in ``strict`` mode) or
-    the string ``"seed:<int>"`` for a reproducible random store.
-    """
-    p = params
-    if isinstance(source, str):
-        if not source.startswith("seed:"):
-            raise ValueError(f"unrecognized directive {source!r} (want 'seed:<int>')")
-        rng = np.random.default_rng(int(source[5:], 0))
-        return scheme.MessageStore.random(p, rng)
-    buf = source.read() if hasattr(source, "read") else bytes(source)
-    width = element_width(p.q)
-    expected = p.K * p.L * width
-    if len(buf) != expected:
-        raise ValueError(
-            f"stream has {len(buf)} bytes, need exactly K*L*width = {expected}"
-        )
-    raw = np.frombuffer(buf, dtype=f"<u{width}").astype(np.int64)
-    if strict:
-        bad = np.nonzero(raw >= p.q)[0]
-        if bad.size:
-            raise ValueError(
-                f"strict mode: value {raw[bad[0]]} >= q={p.q} at element index {bad[0]}"
-            )
-    return scheme.MessageStore(raw.reshape(p.K, p.L) % p.q, p.q)
-
-
 @dataclass(frozen=True)
 class DatabaseNode:
     """One replicated database; silent nodes receive queries but never answer."""
@@ -174,9 +141,13 @@ class DatabaseNode:
     behavior: str = "responsive"  # responsive | silent
 
     def answer(self, query_bytes: bytes) -> bytes | None:
+        """Wire answer to a wire query whose q, K and L must match the store's."""
         if self.behavior == "silent":
             return None
         q_matrix, q, K, L = decode_query(query_bytes)
+        for name, got, held in zip("qKL", (q, K, L), (self.store.q, *self.store.data.shape)):
+            if got != held:
+                raise ValueError(f"query has {name}={got}, store has {name}={held}")
         ans = scheme.answer_query(self.id, q_matrix, self.store)
         return encode_answer(ans, q)
 

@@ -140,6 +140,17 @@ def test_empirical_privacy_too_few_samples():
         audit.empirical_privacy_check(p, (0,), 3, rng=np.random.default_rng(14))
 
 
+@pytest.mark.parametrize(
+    "K,N,T,M,t_subset,bad",
+    [(2, 2, 1, 2, (-1,), -1), (2, 2, 1, 2, (5,), 5), (2, 3, 2, 3, (1, 1), 1)],
+    ids=["negative", "id-above-M", "repeated"],
+)
+def test_empirical_privacy_rejects_bad_database_ids(K, N, T, M, t_subset, bad):
+    p = SchemeParams(K, N, T, M, seed=15)
+    with pytest.raises(ValueError, match=rf"bad ids \[{bad}\]"):
+        audit.empirical_privacy_check(p, t_subset, 50, rng=np.random.default_rng(15))
+
+
 def test_run_audit_assembles_report():
     report = audit.run_audit(SchemeParams(2, 3, 2, 4, seed=5), trials=3)
     assert report.passed

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -135,10 +136,26 @@ def test_block_slices_partition(K, N, data):
     T = data.draw(st.integers(1, N))
     M = data.draw(st.integers(N, N + 2))
     p = SchemeParams(K, N, T, M)
-    lay = build_layout(p, data.draw(st.integers(0, K - 1)))
+    desired = data.draw(st.integers(0, K - 1))
+    lay = build_layout(p, desired)
+    dbs = data.draw(st.permutations(range(M)))[: data.draw(st.integers(1, M))]
+    row = 0
     for b in lay.blocks:
-        spans = [b.db_slice(m) for m in range(p.M)]
-        assert spans[0].start == 0 and spans[-1].stop == b.block_len
-        for s1, s2 in zip(spans, spans[1:]):
-            assert s1.stop == s2.start
-            assert s1.stop - s1.start == b.per_db_len
+        # rows tile one database's [0, per_db) in canonical order
+        assert b.rows == slice(row, row + b.per_db_len)
+        row += b.per_db_len
+        assert np.array_equal(b.coords(range(p.M)), np.arange(b.block_len))
+        # coords keep the order of dbs: database m holds [m * per_db, (m+1) * per_db)
+        pdl = b.per_db_len
+        expected = np.concatenate([np.arange(m * pdl, (m + 1) * pdl) for m in dbs])
+        assert np.array_equal(b.coords(dbs), expected)
+        if b.subset == (desired,):
+            assert b.aligned is None
+        else:
+            other = lay.by_subset[b.aligned]
+            assert other.aligned == b.subset
+            assert set(b.subset) ^ set(other.subset) == {desired}
+            # a pair code's parity exactly fills the block aligned with it
+            pair, child = (other, b) if b.contains_desired else (b, other)
+            assert pair.parity_len == child.block_len
+    assert row == lay.per_db

@@ -178,6 +178,7 @@ def _decoder_and_answers(p, seed=4):
         lambda a, p: scheme.Answer(a.db_id, a.values.reshape(-1, 1, 1)),
         lambda a, p: scheme.Answer(a.db_id, np.append(a.values[:-1], -1)),
         lambda a, p: scheme.Answer(a.db_id, np.append(a.values[:-1], p.q)),
+        lambda a, p: scheme.Answer(a.db_id, np.stack([a.values] * 3, axis=1)),
     ],
     ids=[
         "negative-id",
@@ -188,6 +189,7 @@ def _decoder_and_answers(p, seed=4):
         "3-d",
         "negative-value",
         "value-equals-q",
+        "column-count",
     ],
 )
 def test_decoder_rejects_invalid_answer(tamper):

@@ -100,30 +100,13 @@ def test_log_dir_env_var(tmp_path, session_setup, monkeypatch):
     assert (tmp_path / "sessions.jsonl").exists()
 
 
-def test_ingest_zero_stream():
-    p = SchemeParams(2, 2, 1, 2)
-    from tpir.field import element_width
-    buf = bytes(p.K * p.L * element_width(p.q))
-    store = simnet.ingest_messages(buf, p)
-    assert not store.data.any()
-
-
-def test_ingest_seed_directive_deterministic():
-    p = SchemeParams(2, 2, 1, 2)
-    a = simnet.ingest_messages("seed:99", p)
-    b = simnet.ingest_messages("seed:99", p)
-    assert np.array_equal(a.data, b.data)
-
-
-def test_ingest_length_and_strict_errors():
-    p = SchemeParams(2, 2, 1, 2)
-    from tpir.field import element_width
-    good = bytearray(p.K * p.L * element_width(p.q))
-    with pytest.raises(ValueError, match="bytes"):
-        simnet.ingest_messages(bytes(good[:-1]), p)
-    good[3] = p.q + 1
-    with pytest.raises(ValueError, match="index 3"):
-        simnet.ingest_messages(bytes(good), p, strict=True)
-    # non-strict reduces mod q instead
-    store = simnet.ingest_messages(bytes(good), p)
-    assert store.data.reshape(-1)[3] == (p.q + 1) % p.q
+@pytest.mark.parametrize(
+    "q,K,L,name", [(101, 2, 4, "q"), (5, 4, 2, "K"), (5, 2, 3, "L")]
+)
+def test_node_rejects_query_for_another_store(q, K, L, name):
+    """A GF(5) store of K=2 messages of L=4 symbols answers only such queries,
+    even when the column count K*L happens to match."""
+    node = simnet.DatabaseNode(0, scheme.MessageStore(np.ones((2, 4), dtype=np.int64), 5))
+    query = simnet.encode_query(np.ones((3, K * L), dtype=np.int64), q, K, L)
+    with pytest.raises(ValueError, match=f"{name}="):
+        node.answer(query)
