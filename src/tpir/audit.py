@@ -19,7 +19,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats
 
 from . import linalg, mds, scheme
 from .layout import SchemeParams, build_layout, total_download
@@ -257,7 +256,9 @@ def empirical_privacy_check(
     For each desired index, draws ``sample_count`` independent plans (fresh
     secrets each) and records the colluding subset's coefficient matrices as
     a canonical byte string. The per-index empirical distributions are
-    compared pairwise; Bonferroni-corrected rejection at ``significance``
+    compared pairwise with Pearson's statistic (no Yates correction) on the
+    2 x C table and dof C - 1; the p-value is the closed-form chi-square
+    tail ``_chi2_sf``. Bonferroni-corrected rejection at ``significance``
     fails the check. ``break_alignment`` runs the deliberately broken
     no-MDS-coding variant (expected to be rejected).
 
@@ -336,8 +337,9 @@ def empirical_privacy_check(
                 f"sample_count={sample_count} is too small for the chi-square "
                 "minimum expected bucket count; increase the sample count"
             )
-        chi2, pval, dof, _ = stats.chi2_contingency(table, correction=False)
-        results[f"p_{i}_{j}"] = float(pval)
+        stat = float(((table - expected) ** 2 / expected).sum())
+        pval = _chi2_sf(stat, table.shape[1] - 1)
+        results[f"p_{i}_{j}"] = pval
         worst_p = min(worst_p, pval)
     passed = worst_p > threshold
     return CheckResult(
@@ -345,6 +347,23 @@ def empirical_privacy_check(
         passed if not break_alignment else not passed,
         {"min_p": worst_p, "threshold": threshold, "buckets": nbuckets,
          "bucketing": bucketing, "samples_per_index": sample_count, **results},
+    )
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P[chi2_dof > x] for integer dof, in closed form.
+
+    With h = x/2 and a = k + (dof mod 2)/2, this is erfc(sqrt(h)) for odd dof
+    (0 for even) plus the sum over k < dof // 2 of h^a exp(-h) / Gamma(a + 1),
+    each term formed in log space.
+    """
+    if x <= 0:
+        return 1.0
+    h, half = x / 2, (dof % 2) / 2
+    head = math.erfc(math.sqrt(h)) if half else 0.0
+    log_h = math.log(h)
+    return head + math.fsum(
+        math.exp((k + half) * log_h - h - math.lgamma(k + half + 1)) for k in range(dof // 2)
     )
 
 
@@ -422,10 +441,7 @@ def correctness_sweep(
     rng = rng or np.random.default_rng(p.seed)
     name = "correctness_sweep"
     secrets = scheme.sample_secrets(p, rng)
-    if math.comb(p.M, p.N) <= max_subsets:
-        subsets = list(itertools.combinations(range(p.M), p.N))
-    else:
-        subsets = _t_subsets(p.M, p.N, max_subsets, rng)
+    subsets = _t_subsets(p.M, p.N, max_subsets, rng)
     stores = [scheme.MessageStore.random(p, rng) for _ in range(trials)]
     # columns are independent stores; one decode per subset covers all trials
     stacked = np.stack([s.stacked for s in stores], axis=1)

@@ -235,9 +235,10 @@ class Decoder:
         Answer values may be vectors of length D or (D, t) matrices; the
         matrix form decodes t independent stores in one pass (columns are
         independent right-hand sides of the same linear system). An answer
-        whose database id is outside 0..M-1, whose values are not D symbols
-        long, whose values are not residues in 0..q-1, or whose column count
-        differs from that of most answers raises ``InvalidAnswerError``.
+        whose database id is outside 0..M-1, whose values are not of an
+        integer dtype, are not D symbols long or are not residues in 0..q-1,
+        or whose column count differs from that of most answers raises
+        ``InvalidAnswerError``.
         """
         p = self.params
         by_id = {}
@@ -247,7 +248,10 @@ class Decoder:
                 raise InvalidAnswerError(a.db_id, f"id outside 0..{p.M - 1}")
             if a.db_id in by_id:
                 raise ValueError(f"duplicate answer from database {a.db_id}")
-            vals = np.asarray(a.values, dtype=np.int64)
+            vals = np.asarray(a.values)
+            if not np.issubdtype(vals.dtype, np.integer):
+                raise InvalidAnswerError(a.db_id, f"values of dtype {vals.dtype}, not integers")
+            vals = vals.astype(np.int64, copy=False)
             if vals.ndim not in (1, 2):
                 raise InvalidAnswerError(
                     a.db_id, f"values have {vals.ndim} dimensions, expected 1 or 2"

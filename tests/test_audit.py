@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import tpir
 from tpir import audit, scheme
 from tpir.layout import SchemeParams
 
@@ -149,6 +155,48 @@ def test_empirical_privacy_rejects_bad_database_ids(K, N, T, M, t_subset, bad):
     p = SchemeParams(K, N, T, M, seed=15)
     with pytest.raises(ValueError, match=rf"bad ids \[{bad}\]"):
         audit.empirical_privacy_check(p, t_subset, 50, rng=np.random.default_rng(15))
+
+
+@pytest.mark.parametrize("dof", [*range(1, 30), 50, 100, 199])
+def test_chi2_sf_matches_scipy(dof):
+    # from the lower bulk out to tails near 1e-200
+    xs = [dof * f for f in (0.01, 0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0)] + [100.0, 400.0, 900.0]
+    got = [audit._chi2_sf(x, dof) for x in xs]
+    np.testing.assert_allclose(got, stats.chi2.sf(xs, dof), rtol=1e-9, atol=0)
+    assert audit._chi2_sf(0.0, dof) == 1.0
+
+
+def test_chi2_statistic_p_matches_contingency():
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        C = int(rng.integers(2, 60))
+        probs = rng.dirichlet(np.ones(C), size=2).mean(axis=0)
+        table = np.stack([rng.multinomial(int(rng.integers(400, 4000)), probs) for _ in range(2)])
+        table = table[:, table.sum(axis=0) > 0]
+        expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+        stat = float(((table - expected) ** 2 / expected).sum())
+        want = stats.chi2_contingency(table, correction=False)[1]
+        assert audit._chi2_sf(stat, table.shape[1] - 1) == pytest.approx(want, rel=1e-9)
+
+
+def test_tpir_runs_without_scipy():
+    code = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import tpir
+from tpir import audit
+p = tpir.SchemeParams(2, 2, 1, 2, seed=11)
+res = audit.empirical_privacy_check(p, (0,), 500, rng=np.random.default_rng(11))
+assert res.passed, res.details
+assert sys.modules["scipy"] is None
+assert not [m for m in sys.modules if m.startswith("scipy.")]
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(tpir.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_run_audit_assembles_report():

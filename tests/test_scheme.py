@@ -179,6 +179,7 @@ def _decoder_and_answers(p, seed=4):
         lambda a, p: scheme.Answer(a.db_id, np.append(a.values[:-1], -1)),
         lambda a, p: scheme.Answer(a.db_id, np.append(a.values[:-1], p.q)),
         lambda a, p: scheme.Answer(a.db_id, np.stack([a.values] * 3, axis=1)),
+        lambda a, p: scheme.Answer(a.db_id, a.values - 0.5),
     ],
     ids=[
         "negative-id",
@@ -190,6 +191,7 @@ def _decoder_and_answers(p, seed=4):
         "negative-value",
         "value-equals-q",
         "column-count",
+        "float-values",
     ],
 )
 def test_decoder_rejects_invalid_answer(tamper):
