@@ -126,6 +126,26 @@ def structural_privacy_check(
         b for b in layout.blocks if not b.contains_desired and b.alpha > 0
     ]
     subsets = _t_subsets(p.M, p.T, max_subsets, rng)
+    # info coordinates in b, then parity coordinates in the aligned block
+    coords = {
+        b.subset: [
+            np.concatenate(
+                [b.coords(tsub), b.block_len + layout.by_subset[b.aligned].coords(tsub)]
+            )
+            for tsub in subsets
+        ]
+        for b in pair_blocks
+    }
+    nodes = [layout.desired_coords(tsub) for tsub in subsets]
+    specs = {b.subset: mds.MdsSpec(b.code_len, b.alpha, q) for b in pair_blocks}
+    gens = {sub: mds.generator(spec) for sub, spec in specs.items()}
+    gen_d = mds.generator(mds.MdsSpec(layout.desired_code_len, p.L, q))
+    # one stacked inverse per code, over the T-subsets whose counts match it;
+    # the desired check inverts the leading square Vandermonde on the nodes
+    inverses = {sub: _stacked_inverses(spec, coords[sub]) for sub, spec in specs.items()}
+    desired_inv = _stacked_inverses(
+        mds.MdsSpec(layout.desired_code_len, expected_per_msg, q), nodes
+    )
     eye_cache: dict[int, np.ndarray] = {}
 
     def eye(n):
@@ -133,45 +153,37 @@ def structural_privacy_check(
             eye_cache[n] = np.eye(n, dtype=np.int64)
         return eye_cache[n]
 
-    for tsub in subsets:
+    for i, tsub in enumerate(subsets):
         per_msg = {k: 0 for k in range(p.K)}
         for b in pair_blocks:
-            spec = mds.MdsSpec(b.code_len, b.alpha, q)
-            gen = mds.generator(spec)
-            # info coordinates in b, then parity coordinates in the aligned block
-            parity = layout.by_subset[b.aligned]
-            coords = np.concatenate([b.coords(tsub), b.block_len + parity.coords(tsub)])
-            if coords.size != b.alpha:
+            c = coords[b.subset][i]
+            if c.size != b.alpha:
                 return CheckResult(
                     name,
                     False,
-                    {"subset": tsub, "block": b.subset, "count": coords.size,
+                    {"subset": tsub, "block": b.subset, "count": c.size,
                      "expected": b.alpha},
                 )
-            inv = mds.submatrix_inverse(spec, coords)
             if not np.array_equal(
-                linalg.mat_mul(inv, gen[coords], q), eye(b.alpha)
+                linalg.mat_mul(inverses[b.subset][i], gens[b.subset][c], q), eye(b.alpha)
             ):
                 return CheckResult(
                     name, False, {"subset": tsub, "block": b.subset,
                                   "reason": "singular MDS submatrix"}
                 )
             for k in b.subset:
-                per_msg[k] += coords.size
+                per_msg[k] += c.size
         # desired-message rows seen by the subset
-        nodes = layout.desired_coords(tsub)
-        per_msg[desired] = nodes.size
+        per_msg[desired] = nodes[i].size
         if any(v != expected_per_msg for v in per_msg.values()):
             return CheckResult(
                 name, False, {"subset": tsub, "per_message_counts": per_msg,
                               "expected": expected_per_msg},
             )
         # full row rank: the leading square Vandermonde on these nodes
-        r = nodes.size
-        inv = mds.vandermonde_inverse(nodes, q)
-        gen_d = mds.generator(mds.MdsSpec(layout.desired_code_len, p.L, q))
+        r = nodes[i].size
         if not np.array_equal(
-            linalg.mat_mul(inv, gen_d[nodes][:, :r], q), eye(r)
+            linalg.mat_mul(desired_inv[i], gen_d[nodes[i]][:, :r], q), eye(r)
         ):
             return CheckResult(
                 name, False, {"subset": tsub, "reason": "desired code rows rank-deficient"}
@@ -180,6 +192,14 @@ def structural_privacy_check(
         name, True,
         {"subsets_checked": len(subsets), "per_message_variables": expected_per_msg},
     )
+
+
+def _stacked_inverses(spec: mds.MdsSpec, coord_sets) -> dict[int, np.ndarray]:
+    """Index -> submatrix inverse, in one call for every set of exactly k coordinates."""
+    keep = [i for i, c in enumerate(coord_sets) if c.size == spec.k]
+    if not keep:
+        return {}
+    return dict(zip(keep, mds.submatrix_inverse(spec, np.stack([coord_sets[i] for i in keep]))))
 
 
 def _plan_support_mismatch(plan: scheme.QueryPlan):
@@ -216,12 +236,12 @@ def _plan_alignment_mismatch(plan: scheme.QueryPlan):
         parity = layout.by_subset[b.aligned]
         spec = mds.MdsSpec(b.code_len, b.alpha, q)
         gen = mds.generator(spec)
+        head_inv = mds.submatrix_inverse(spec, np.arange(b.alpha))
         for k in b.subset:
             cw = np.concatenate(
                 [qm[blk.rows, k * L : (k + 1) * L] for blk in (b, parity) for qm in plan.matrices]
             )
-            head = np.arange(b.alpha)
-            info = linalg.mat_mul(mds.submatrix_inverse(spec, head), cw[: b.alpha], q)
+            info = linalg.mat_mul(head_inv, cw[: b.alpha], q)
             if not np.array_equal(linalg.mat_mul(gen, info, q), cw):
                 return {"block": b.subset, "message": k}
     return None
@@ -454,6 +474,7 @@ def correctness_sweep(
             scheme.Answer(m, linalg.mat_mul(plan.matrices[m], stacked, p.q))
             for m in range(p.M)
         ]
+        decoder.subset_tables(subsets)
         for sub in subsets:
             got = decoder.decode([answers[m] for m in sub])
             decodes += trials

@@ -194,7 +194,8 @@ class Decoder:
     """Interference-cancelling decoder for one (params, desired, secrets) session.
 
     Inverse matrices are cached per responder subset, so sweeping many
-    responder subsets or stores against one plan stays cheap.
+    responder subsets or stores against one plan stays cheap; ``subset_tables``
+    fills them for many subsets in one pass.
     """
 
     def __init__(
@@ -213,21 +214,41 @@ class Decoder:
         self._secret_inv: np.ndarray | None = None
         self._per_subset: dict[tuple[int, ...], dict] = {}
 
-    def _subset_tables(self, responders: tuple[int, ...]) -> dict:
-        cached = self._per_subset.get(responders)
-        if cached is not None:
-            return cached
-        tables: dict = {"pair_inv": {}}
-        for b in self.layout.blocks:
-            if b.contains_desired or b.alpha == 0 or b.parity_len == 0:
-                continue
-            spec = _pair_spec(self.layout, b)
-            tables["pair_inv"][b.subset] = mds.submatrix_inverse(spec, b.coords(responders))
-        tables["desired_inv"] = mds.vandermonde_inverse(
-            self.layout.desired_coords(responders), self.params.q
-        )
-        self._per_subset[responders] = tables
-        return tables
+    def subset_tables(self, subsets) -> list[dict]:
+        """The decoding tables of each responder subset, filled in one pass for all.
+
+        Each subset is N increasing database ids, the responders ``decode``
+        uses. Its table holds ``"pair_inv"``, block subset -> (alpha, alpha)
+        inverse of the pair code rows those responders hold, for every pair
+        block with parity, and ``"desired_inv"``, the (r, r) inverse of the
+        desired code rows they hold (q is prime, as ``SchemeParams``
+        requires). Tables are cached per subset; the missing ones are
+        computed together, one stacked inverse per pair block and one for
+        the desired code.
+        """
+        p = self.params
+        subsets = [tuple(int(m) for m in s) for s in subsets]
+        new = [s for s in dict.fromkeys(subsets) if s not in self._per_subset]
+        for s in new:
+            if len(s) != p.N or s != tuple(sorted(set(s))) or s[0] < 0 or s[-1] >= p.M:
+                raise ValueError(f"responders {s} are not {p.N} increasing ids in 0..{p.M - 1}")
+        if new:
+            pair_inv = {
+                b.subset: mds.submatrix_inverse(
+                    _pair_spec(self.layout, b), np.stack([b.coords(s) for s in new])
+                )
+                for b in self.layout.blocks
+                if not (b.contains_desired or b.alpha == 0 or b.parity_len == 0)
+            }
+            desired_inv = mds.vandermonde_inverse(
+                np.stack([self.layout.desired_coords(s) for s in new]), p.q
+            )
+            for i, s in enumerate(new):
+                self._per_subset[s] = {
+                    "pair_inv": {sub: inv[i] for sub, inv in pair_inv.items()},
+                    "desired_inv": desired_inv[i],
+                }
+        return [self._per_subset[s] for s in subsets]
 
     def decode(self, answers) -> np.ndarray:
         """Recover the desired message from >= N answers with distinct db ids.
@@ -235,10 +256,10 @@ class Decoder:
         Answer values may be vectors of length D or (D, t) matrices; the
         matrix form decodes t independent stores in one pass (columns are
         independent right-hand sides of the same linear system). An answer
-        whose database id is outside 0..M-1, whose values are not of an
-        integer dtype, are not D symbols long or are not residues in 0..q-1,
-        or whose column count differs from that of most answers raises
-        ``InvalidAnswerError``.
+        whose database id is outside 0..M-1 or repeats an earlier answer's,
+        whose values are not of an integer dtype, are not D symbols long or
+        are not residues in 0..q-1, or whose column count differs from that
+        of most answers raises ``InvalidAnswerError``.
         """
         p = self.params
         by_id = {}
@@ -247,7 +268,7 @@ class Decoder:
             if not 0 <= a.db_id < p.M:
                 raise InvalidAnswerError(a.db_id, f"id outside 0..{p.M - 1}")
             if a.db_id in by_id:
-                raise ValueError(f"duplicate answer from database {a.db_id}")
+                raise InvalidAnswerError(a.db_id, "duplicate of an earlier answer")
             vals = np.asarray(a.values)
             if not np.issubdtype(vals.dtype, np.integer):
                 raise InvalidAnswerError(a.db_id, f"values of dtype {vals.dtype}, not integers")
@@ -277,7 +298,7 @@ class Decoder:
                     m, f"{vals.shape[1]} columns, other answers have {common}"
                 )
         responders = tuple(sorted(by_id)[: p.N])
-        tables = self._subset_tables(responders)
+        (tables,) = self.subset_tables([responders])
         answered = np.stack([by_id[m] for m in responders])  # (N, D, columns)
 
         def received(b):

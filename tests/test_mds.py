@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -73,24 +74,69 @@ def test_any_k_coords_determine_the_rest(inst):
 def test_submatrix_inverse_matches_generic_elimination(inst):
     spec, seed = inst
     rng = np.random.default_rng(seed)
-    coords = np.sort(rng.choice(spec.n, size=spec.k, replace=False))
-    fast = mds.submatrix_inverse(spec, coords)
-    oracle = linalg.invert(mds.generator(spec)[coords], spec.q)
-    assert np.array_equal(fast, oracle)
+    stack = np.stack([np.sort(rng.choice(spec.n, size=spec.k, replace=False)) for _ in range(3)])
+    for coords, fast in zip(stack, mds.submatrix_inverse(spec, stack)):
+        oracle = linalg.invert(mds.generator(spec)[coords], spec.q)
+        assert np.array_equal(fast, oracle)
+        assert np.array_equal(mds.submatrix_inverse(spec, coords), oracle)
 
 
-@given(st.sampled_from([101, 257]), st.integers(2, 40), st.integers(0, 2**32 - 1))
-def test_vandermonde_inverse_structured_vs_generic(q, k, seed):
+@given(
+    st.sampled_from([101, 257, 2**31 - 1]),
+    st.integers(2, 40),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_vandermonde_inverse_structured_vs_generic(q, k, sets, seed):
     rng = np.random.default_rng(seed)
-    nodes = np.sort(rng.choice(q, size=k, replace=False))
-    v = np.array([[pow(int(x), j, q) for j in range(k)] for x in nodes])
-    assert np.array_equal(mds.vandermonde_inverse(nodes, q), linalg.invert(v, q))
+    stack = np.stack([np.sort(rng.choice(q, size=k, replace=False)) for _ in range(sets)])
+    inverses = mds.vandermonde_inverse(stack, q)
+    assert inverses.shape == (sets, k, k)
+    for nodes, inv in zip(stack, inverses):
+        v = np.array([[pow(int(x), j, q) for j in range(k)] for x in nodes])
+        assert np.array_equal(inv, mds.vandermonde_inverse(nodes, q))
+        assert np.array_equal(inv, linalg.invert(v, q))
+
+
+def test_vandermonde_inverse_at_largest_modulus():
+    q = 2**31 - 1  # the largest prime int64 elimination allows
+    stack = np.array([[q - 1, q - 2, 0, 1, 2**30], [5, q - 3, 2**31 - 2**20, 7, 3]])
+    for nodes, inv in zip(stack, mds.vandermonde_inverse(stack, q)):
+        v = np.array([[pow(int(x), j, q) for j in range(5)] for x in nodes])
+        assert np.array_equal(linalg.mat_mul(inv, v, q), np.eye(5, dtype=np.int64))
 
 
 def test_vandermonde_inverse_rejects_modulus_above_2_31():
     q = 2**61 - 1  # prime; products of residues overflow int64
     with pytest.raises(ValueError, match=str(q)):
         mds.vandermonde_inverse(np.array([2, 3, 5]), q)
+
+
+def test_vandermonde_inverse_rejects_composite_modulus():
+    with pytest.raises(ValueError, match="not prime"):
+        mds.vandermonde_inverse([0, 1], 10)
+
+
+@pytest.mark.parametrize("nodes", [[], np.empty((3, 0), dtype=np.int64)], ids=["1-d", "stack"])
+def test_vandermonde_inverse_rejects_empty_node_set(nodes):
+    with pytest.raises(ValueError, match="k >= 1"):
+        mds.vandermonde_inverse(nodes, 7)
+
+
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ((-1, 0), "coordinates [-1] outside 0..4"),
+        ((0, 5), "coordinates [5] outside 0..4"),
+        ((6, 1), "coordinates [6] outside 0..4"),
+        ([(0, 1), (1, 7), (-2, 3)], "coordinates [-2, 7] outside 0..4"),
+        ([(0, 1), (2, 2)], "distinct"),
+    ],
+    ids=["negative", "equals-n", "above-n", "stack", "repeated"],
+)
+def test_submatrix_inverse_rejects_bad_coordinates(coords, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mds.submatrix_inverse(mds.MdsSpec(5, 2, 7), coords)
 
 
 def test_verify_mds_property_exhaustive_and_sampled():

@@ -180,6 +180,7 @@ def _decoder_and_answers(p, seed=4):
         lambda a, p: scheme.Answer(a.db_id, np.append(a.values[:-1], p.q)),
         lambda a, p: scheme.Answer(a.db_id, np.stack([a.values] * 3, axis=1)),
         lambda a, p: scheme.Answer(a.db_id, a.values - 0.5),
+        lambda a, p: scheme.Answer(a.db_id + 1, a.values),
     ],
     ids=[
         "negative-id",
@@ -192,6 +193,7 @@ def _decoder_and_answers(p, seed=4):
         "value-equals-q",
         "column-count",
         "float-values",
+        "duplicate-id",
     ],
 )
 def test_decoder_rejects_invalid_answer(tamper):
@@ -204,3 +206,25 @@ def test_decoder_rejects_invalid_answer(tamper):
     assert f"database {bad.db_id}" in str(exc.value)
     assert isinstance(exc.value, ValueError)
 
+
+@pytest.mark.parametrize("point", [(2, 3, 2, 5), (3, 3, 1, 5)])
+def test_decoder_tables_for_many_subsets_match_one_at_a_time(point):
+    p = SchemeParams(*point)
+    secrets = scheme.sample_secrets(p, np.random.default_rng(8))
+    subsets = list(itertools.combinations(range(p.M), p.N))
+    for desired in range(p.K):
+        together = scheme.Decoder(p, desired, secrets).subset_tables(subsets)
+        alone = scheme.Decoder(p, desired, secrets)
+        for sub, tables in zip(subsets, together):
+            (one,) = alone.subset_tables([sub])
+            assert tables["pair_inv"].keys() == one["pair_inv"].keys()
+            for block, inv in one["pair_inv"].items():
+                assert np.array_equal(tables["pair_inv"][block], inv)
+            assert np.array_equal(tables["desired_inv"], one["desired_inv"])
+
+
+@pytest.mark.parametrize("subset", [(0, 1), (1, 0, 2), (0, 0, 1), (-1, 0, 1), (2, 3, 5)])
+def test_decoder_tables_reject_bad_responder_subsets(subset):
+    decoder, _ = _decoder_and_answers(SchemeParams(2, 3, 2, 5))
+    with pytest.raises(ValueError, match="increasing ids"):
+        decoder.subset_tables([subset])
