@@ -2,8 +2,8 @@
 
 Elements are represented canonically as integers in ``[0, q)``, held in numpy
 int64 arrays; arithmetic on them is array work in :mod:`tpir.linalg` and
-:mod:`tpir.mds`. This module chooses and checks the prime modulus and owns the
-fixed-width byte encoding of field elements.
+:mod:`tpir.mds`. This module chooses and checks the prime modulus, tests
+arrays for entries outside [0, q), and owns their fixed-width byte encoding.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ __all__ = [
     "is_prime",
     "smallest_prime_geq",
     "element_width",
+    "outside_field",
     "elements_to_bytes",
     "elements_from_bytes",
 ]
@@ -66,22 +67,40 @@ def element_width(q: int) -> int:
     raise ValueError(f"modulus {q} too large for 8-byte encoding")
 
 
+def outside_field(values: np.ndarray, q: int) -> bool:
+    """Whether an int64 or unsigned integer array has an entry outside [0, q).
+
+    One max-reduction, no copy: int64 is read as uint64, where negative
+    entries are at least 2^63 and the others below it, so it is exact for any q.
+    """
+    if values.size == 0:
+        return False
+    if values.dtype == np.int64:
+        values, q = values.view(np.uint64), min(q, 2**63)
+    return int(values.max()) >= q
+
+
+_WIRE_DTYPE = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
+
+
 def elements_to_bytes(values: np.ndarray, q: int) -> bytes:
     """Serialize field elements as fixed-width little-endian unsigned ints."""
-    w = element_width(q)
     flat = np.ascontiguousarray(values, dtype=np.int64).ravel()
-    if flat.size and (flat.min() < 0 or flat.max() >= q):
+    if outside_field(flat, q):
         raise ValueError("values outside [0, q)")
-    dtype = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}[w]
-    return flat.astype(dtype).tobytes()
+    return flat.astype(_WIRE_DTYPE[element_width(q)]).tobytes()
 
 
-def elements_from_bytes(buf: bytes, q: int, count: int) -> np.ndarray:
+def elements_from_bytes(buf: bytes, q: int, count: int, offset: int = 0) -> np.ndarray:
+    """The ``count`` elements in ``buf`` from byte ``offset`` to its end, read in place.
+
+    Range-checked in the unsigned wire dtype, so a value int64 cannot hold
+    (2^63 or more) is rejected rather than wrapped negative.
+    """
     w = element_width(q)
-    if len(buf) != count * w:
-        raise ValueError(f"expected {count * w} bytes, got {len(buf)}")
-    dtype = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}[w]
-    values = np.frombuffer(buf, dtype=dtype).astype(np.int64)
-    if values.size and values.max() >= q:
+    if len(buf) - offset != count * w:
+        raise ValueError(f"expected {count * w} bytes, got {len(buf) - offset}")
+    wire = np.frombuffer(buf, dtype=_WIRE_DTYPE[w], count=count, offset=offset)
+    if outside_field(wire, min(q, 2**63)):
         raise ValueError("encoded value outside [0, q)")
-    return values
+    return wire.astype(np.int64)

@@ -8,7 +8,9 @@ products. Reduction mod q is delayed: the trailing rows take the unreduced
 products and are reduced only when int64 would otherwise overflow, and only
 what pivoting reads is reduced on the way (the delayed reduction of
 FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008). Elimination is exact
-for q <= 2^31; larger moduli are rejected.
+for q <= 2^31; larger moduli are rejected. ``mat_mul`` is exact for q < 2^63
+and reduces an operand only if an entry lies outside [0, q): callers pass
+residues, so a product pays one range test per operand, not a ``% q`` copy.
 
 Uniform elements of GL(n, q) are drawn through a unique factorisation, as a
 product of two random factors, with no elimination and no rejection of
@@ -24,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .field import elements_to_bytes
+from .field import elements_to_bytes, outside_field
 
 __all__ = [
     "SingularMatrixError",
@@ -52,7 +54,7 @@ def check_modulus(q: int) -> None:
     """Raise ``ValueError`` for q > 2^31, where int64 elimination is not exact.
 
     Elimination multiplies two residues and adds a third in int64, which
-    needs (q-1)^2 < 2^62. ``mat_mul`` alone is exact for every q.
+    needs (q-1)^2 < 2^62. ``mat_mul`` alone is exact for every q < 2^63.
     """
     if (q - 1) ** 2 >= 2**62:
         raise ValueError(f"q={q} too large: exact int64 elimination needs q <= 2^31")
@@ -83,16 +85,23 @@ def _product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 
 def mat_mul(a, b, q: int) -> np.ndarray:
-    """Matrix product over GF(q), exact for every q.
+    """Matrix product over GF(q), exact for q < 2^63; a larger q raises ``ValueError``.
 
-    Uses float64 BLAS when the unreduced inner products provably fit in the
-    53-bit mantissa, int64 when they fit in 63 bits, and Python integers
-    otherwise.
+    Neither operand is written to; each is reduced, into a copy, only if an
+    entry lies outside [0, q). Uses float64 BLAS when the unreduced inner
+    products provably fit in the 53-bit mantissa, int64 when they fit in 63
+    bits, and Python integers otherwise.
     """
+    if q >= 2**63:
+        raise ValueError(f"q={q} too large: int64 matrix products need q < 2^63")
     a, b = _as_array(a), _as_array(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    return _product(a % q, b % q, q) % q
+    if outside_field(a, q):
+        a = a % q
+    if outside_field(b, q):
+        b = b % q
+    return _product(a, b, q) % q
 
 
 def _pivot_loop(a: np.ndarray, q: int, ncols: int, jordan: bool):
@@ -238,7 +247,7 @@ def sample_uniform_full_rank(n: int, q: int, rng: np.random.Generator) -> np.nda
     q^-(n-r)). Every M in GL(n, q) has exactly one such (C, V): row 0 of V is
     row 0 of M, each later row of M splits uniquely into a multiple of it
     plus a vector that is zero at its leading column, and the rest recurses.
-    So the draw is exactly uniform, at the cost of one ``mat_mul``.
+    So the draw is exactly uniform, at the cost of one matrix product.
 
     Calls on ``rng``: ``integers(0, q, size=n(n+1)/2)`` for V's rows, row
     after row; ``integers(0, q, size=n-r)`` for each redraw of row r, in row
@@ -265,7 +274,7 @@ def sample_uniform_full_rank(n: int, q: int, rng: np.random.Generator) -> np.nda
     v[lead >= i[:, None]] = values
     c = np.eye(n, dtype=np.int64)
     c[i[:, None] > i] = rng.integers(0, q, size=n * (n - 1) // 2, dtype=np.int64)
-    return mat_mul(c, v, q)
+    return _product(c, v, q) % q  # both factors are residues: no range test
 
 
 def count_full_rank(n: int, q: int) -> int:

@@ -22,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg, mds
+from .field import outside_field
 from .layout import BlockLayout, SchemeParams, build_layout, total_download
 
 __all__ = [
@@ -50,7 +51,7 @@ class MessageStore:
         d = np.asarray(self.data, dtype=np.int64)
         if d.ndim != 2:
             raise ValueError(f"store must be 2-d (K, L), got shape {d.shape}")
-        if d.size and (d.min() < 0 or d.max() >= self.q):
+        if outside_field(d, self.q):
             raise ValueError("message symbols outside [0, q)")
         object.__setattr__(self, "data", d)
 
@@ -223,8 +224,8 @@ class Decoder:
         block with parity, and ``"desired_inv"``, the (r, r) inverse of the
         desired code rows they hold (q is prime, as ``SchemeParams``
         requires). Tables are cached per subset; the missing ones are
-        computed together, one stacked inverse per pair block and one for
-        the desired code.
+        computed together, one stacked inverse per distinct pair code (the
+        pair blocks of one size share a code) and one for the desired code.
         """
         p = self.params
         subsets = [tuple(int(m) for m in s) for s in subsets]
@@ -233,13 +234,15 @@ class Decoder:
             if len(s) != p.N or s != tuple(sorted(set(s))) or s[0] < 0 or s[-1] >= p.M:
                 raise ValueError(f"responders {s} are not {p.N} increasing ids in 0..{p.M - 1}")
         if new:
-            pair_inv = {
-                b.subset: mds.submatrix_inverse(
-                    _pair_spec(self.layout, b), np.stack([b.coords(s) for s in new])
-                )
-                for b in self.layout.blocks
-                if not (b.contains_desired or b.alpha == 0 or b.parity_len == 0)
-            }
+            by_spec: dict[mds.MdsSpec, list] = {}
+            for b in self.layout.blocks:
+                if not (b.contains_desired or b.alpha == 0 or b.parity_len == 0):
+                    by_spec.setdefault(_pair_spec(self.layout, b), []).append(b)
+            pair_inv = {}
+            for spec, blocks in by_spec.items():
+                coords = np.stack([b.coords(s) for b in blocks for s in new])
+                invs = np.split(mds.submatrix_inverse(spec, coords), len(blocks))
+                pair_inv.update(zip((b.subset for b in blocks), invs))
             desired_inv = mds.vandermonde_inverse(
                 np.stack([self.layout.desired_coords(s) for s in new]), p.q
             )
@@ -281,7 +284,7 @@ class Decoder:
                 raise InvalidAnswerError(
                     a.db_id, f"{vals.shape[0]} symbols, expected {self.layout.per_db}"
                 )
-            if vals.size and (vals.min() < 0 or vals.max() >= p.q):
+            if outside_field(vals, p.q):
                 raise InvalidAnswerError(a.db_id, f"values outside 0..{p.q - 1}")
             if vals.ndim == 1:
                 vals = vals.reshape(-1, 1)

@@ -106,7 +106,7 @@ def decode_query(buf: bytes) -> tuple[np.ndarray, int, int, int]:
     K, L, D = struct.unpack("<III", buf[off : off + 12])
     off += 12
     _check_length(buf, off + D * K * L * element_width(q))
-    values = elements_from_bytes(buf[off:], q, D * K * L)
+    values = elements_from_bytes(buf, q, D * K * L, off)
     return values.reshape(D, K * L), q, K, L
 
 
@@ -129,7 +129,7 @@ def decode_answer(buf: bytes) -> tuple[scheme.Answer, int]:
     db_id, D = struct.unpack("<II", buf[off : off + 8])
     off += 8
     _check_length(buf, off + D * element_width(q))
-    return scheme.Answer(db_id=db_id, values=elements_from_bytes(buf[off:], q, D)), q
+    return scheme.Answer(db_id=db_id, values=elements_from_bytes(buf, q, D, off)), q
 
 
 @dataclass(frozen=True)

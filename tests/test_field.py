@@ -51,3 +51,17 @@ def test_bytes_reject_out_of_range():
     with pytest.raises(ValueError):
         field.elements_from_bytes(bytes([9]), 7, 1)
     assert field.elements_from_bytes(buf, 7, 1)[0] == 4
+    # 8-byte elements at or above 2^63 would wrap negative in int64
+    for value in (2**63, 2**64 - 1):
+        with pytest.raises(ValueError):
+            field.elements_from_bytes(value.to_bytes(8, "little"), 2**61 - 1, 1)
+
+
+@pytest.mark.parametrize("q", [2, 2**31 - 1])
+def test_outside_field_flags_exactly_the_non_residues(q):
+    for bad in (-1, q, -(2**63), 2**63 - 1):
+        assert field.outside_field(np.array([0, bad, 1], dtype=np.int64), q)
+    for good in ([0], [q - 1], [0, q - 1], []):
+        assert not field.outside_field(np.array(good, dtype=np.int64), q)
+    assert not field.outside_field(np.array([q - 1], dtype=np.uint64), q)
+    assert field.outside_field(np.array([q], dtype=np.uint64), q)

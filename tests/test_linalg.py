@@ -69,6 +69,50 @@ def test_mat_mul_matches_python_bigint():
     assert [[int(x) for x in row] for row in got.tolist()] == want
 
 
+# One modulus per exact path of mat_mul's product at small inner dimension:
+# float64 (2, 877, 65537), int64 (2^31 - 1 with inner 1) and Python ints
+# (2^31 - 1 with inner >= 2, and 2^61 - 1).
+MAT_MUL_QS = [2, 877, 65537, 2**31 - 1, 2**61 - 1]
+_OPERAND_KINDS = ("residue", "negative", "unreduced", "mixed")
+
+
+def _operand(draw, q, shape):
+    kind = draw(st.sampled_from(_OPERAND_KINDS))
+    lo, hi = {
+        "residue": (0, q - 1),
+        "negative": (-(2**62) + 1, -1),
+        "unreduced": (q, 2**62 - 1),
+        "mixed": (-(2**62) + 1, 2**62 - 1),
+    }[kind]
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).integers(lo, hi, size=shape, endpoint=True)
+
+
+@st.composite
+def mat_mul_operands(draw):
+    q = draw(st.sampled_from(MAT_MUL_QS))
+    m, k, n = (draw(st.integers(0, 6)) for _ in range(3))
+    return _operand(draw, q, (m, k)), _operand(draw, q, (k, n)), q
+
+
+@given(mat_mul_operands())
+@settings(max_examples=300, deadline=None)
+def test_mat_mul_reduces_any_int64_operands_without_writing_them(abq):
+    a, b, q = abq
+    a0, b0 = a.copy(), b.copy()
+    got = linalg.mat_mul(a, b, q)
+    want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % q for col in b.T] for row in a]
+    assert got.dtype == np.int64 and got.shape == (a.shape[0], b.shape[1])
+    assert got.tolist() == want
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+@pytest.mark.parametrize("q", [2**63 + 29, 2**64 + 13])
+def test_mat_mul_rejects_modulus_int64_cannot_hold(q):
+    with pytest.raises(ValueError, match=str(q)):
+        linalg.mat_mul([[1, 2], [3, 4]], [[1, 2], [3, 4]], q)
+
+
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
 def test_sampler_output_always_invertible(n, q):
     rng = np.random.default_rng(7)
@@ -270,7 +314,7 @@ def test_elimination_rejects_modulus_above_2_31():
     for call in (linalg.invert, linalg.rank):
         with pytest.raises(ValueError, match=str(q)):
             call(a, q)
-    # mat_mul alone stays exact for any q
+    # mat_mul alone stays exact for any q < 2^63
     want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % q for col in a.T] for row in a]
     assert linalg.mat_mul(a, a, q).tolist() == want
 

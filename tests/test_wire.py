@@ -101,3 +101,21 @@ def test_trailing_garbage_rejected():
 def test_width_matches_field_serialization(q):
     buf = simnet.encode_query(np.zeros((1, 1), dtype=np.int64), q, 1, 1)
     assert buf[6] == element_width(q)
+
+
+# At q = 2^61 - 1 elements take 8 bytes, so the wire can carry values of 2^63
+# and more, which an int64 cast would wrap to negative numbers.
+_Q61 = 2**61 - 1
+_TOO_BIG = (2**63).to_bytes(8, "little") + (5).to_bytes(8, "little")
+
+
+def test_query_values_of_2_63_rejected():
+    buf = simnet.encode_query(np.array([[1, 5]]), _Q61, 1, 2)
+    with pytest.raises(ValueError, match="outside"):
+        simnet.decode_query(buf[: -len(_TOO_BIG)] + _TOO_BIG)
+
+
+def test_answer_values_of_2_63_rejected():
+    buf = simnet.encode_answer(scheme.Answer(0, np.array([1, 5])), _Q61)
+    with pytest.raises(ValueError, match="outside"):
+        simnet.decode_answer(buf[: -len(_TOO_BIG)] + _TOO_BIG)
