@@ -22,23 +22,23 @@ print(f"secret-row invariance over GL(3,2): {res.details['cases']} cases, "
 
 # 2. structural: what any T databases jointly see has the same shape
 #    regardless of the desired index
-p = SchemeParams(K=2, N=3, T=2, M=4, seed=3)
-rng = np.random.default_rng(p.seed)
+p = SchemeParams(K=2, N=3, T=2, M=4)
+rng = np.random.default_rng(3)
 secrets = scheme.sample_secrets(p, rng)
 plan = scheme.build_queries(p, 0, secrets)
-res = audit.structural_privacy_check(p, 0, secrets, plan)
+res = audit.structural_privacy_check(p, 0, plan)
 print(f"structural check over all {res.details['subsets_checked']} coalitions: "
       f"pass={res.passed} "
       f"({res.details['per_message_variables']} variables per message each)")
 
 # the same check catches a plan whose side information skips MDS coding
 broken = scheme.build_queries(p, 0, secrets, break_alignment=True)
-res = audit.structural_privacy_check(p, 0, secrets, broken)
+res = audit.structural_privacy_check(p, 0, broken)
 print(f"broken plan caught: {not res.passed} ({res.details})")
 
 # 3. empirical: query bytes sampled under each desired index are compared
 #    with a chi-square test; the honest scheme passes, the broken one fails
-small = SchemeParams(K=2, N=2, T=1, M=2, seed=3)
+small = SchemeParams(K=2, N=2, T=1, M=2)
 honest = audit.empirical_privacy_check(small, (0,), 4000,
                                        rng=np.random.default_rng(3))
 print(f"empirical honest: min p = {honest.details['min_p']:.3f} "

@@ -14,8 +14,8 @@ import numpy as np
 from tpir import scheme, simnet
 from tpir.layout import SchemeParams
 
-p = SchemeParams(K=2, N=3, T=2, M=5, seed=11)
-rng = np.random.default_rng(p.seed)
+p = SchemeParams(K=2, N=3, T=2, M=5)
+rng = np.random.default_rng(11)
 store = scheme.MessageStore.random(p, rng)
 print(f"{p.M} databases hold identical stores; any {p.N} answers suffice; "
       f"any {p.T} may collude\n")
@@ -35,6 +35,6 @@ print(f"\ntranscript replay matches live decode: "
 
 # dropping more than M - N nodes is rejected before any query is sent
 try:
-    simnet.run_session(p, 0, store, drop_set={0, 1, 2})
+    simnet.run_session(p, 0, store, drop_set={0, 1, 2}, rng=rng)
 except ValueError as e:
     print(f"oversized drop set rejected: {e}")

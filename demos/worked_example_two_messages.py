@@ -12,7 +12,7 @@ import numpy as np
 from tpir import audit, scheme
 from tpir.layout import SchemeParams, build_layout, total_download
 
-p = SchemeParams(K=2, N=3, T=2, M=3, seed=7)
+p = SchemeParams(K=2, N=3, T=2, M=3)
 print(f"params: {p.K} messages of N^K = {p.L} symbols over GF({p.q}), "
       f"{p.M} databases, privacy against any {p.T}\n")
 
@@ -21,7 +21,7 @@ lay = build_layout(p, desired=0)
 print(lay.dump_text())
 
 # The user privately samples one invertible matrix per message ...
-rng = np.random.default_rng(p.seed)
+rng = np.random.default_rng(7)
 secrets = scheme.sample_secrets(p, rng)
 
 # ... and materializes one coefficient matrix per database. Note the store is

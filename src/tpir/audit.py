@@ -94,7 +94,6 @@ def _t_subsets(M: int, T: int, cap: int, rng: np.random.Generator | None):
 def structural_privacy_check(
     params: SchemeParams,
     desired: int,
-    secrets: scheme.SchemeSecrets | None = None,
     plan: scheme.QueryPlan | None = None,
     max_subsets: int = 500,
     rng: np.random.Generator | None = None,
@@ -106,10 +105,16 @@ def structural_privacy_check(
     sees must form an invertible alpha x alpha submatrix, and the desired-code
     rows it sees must have full row rank. Invertibility is certified by an
     explicit inverse and product-equals-identity verification. If a plan is
-    supplied its row-support pattern is also validated against the layout.
+    supplied its row-support pattern is also validated against the layout;
+    its desired index and parameters must be ``desired`` and ``params``.
     """
     p = params
     name = "structural_privacy"
+    if plan is not None and (plan.desired, plan.layout.params) != (desired, p):
+        raise ValueError(
+            f"plan is for desired={plan.desired} at {plan.layout.params}, "
+            f"checked as desired={desired} at {p}"
+        )
     layout = plan.layout if plan is not None else build_layout(p, desired)
     q = p.q
     expected_per_msg = p.T * p.N ** (p.K - 1)
@@ -266,7 +271,7 @@ def empirical_privacy_check(
     params: SchemeParams,
     t_subset,
     sample_count: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     break_alignment: bool = False,
     significance: float = 0.001,
     max_buckets: int = 200,
@@ -298,7 +303,8 @@ def empirical_privacy_check(
         )
     if len(t_subset) != p.T:
         raise ValueError(f"collusion subset must have size T={p.T}")
-    rng = rng or np.random.default_rng(p.seed)
+    if p.K < 2:
+        raise ValueError("empirical privacy compares desired indices; it needs K >= 2")
     name = "empirical_privacy" + ("_broken" if break_alignment else "")
 
     layouts = [build_layout(p, ell) for ell in range(p.K)]
@@ -452,13 +458,13 @@ def _row_multiset(stack: np.ndarray, q: int) -> dict[bytes, int]:
 def correctness_sweep(
     params: SchemeParams,
     trials: int = 10,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     max_subsets: int = 200,
 ) -> CheckResult:
     """Brute-force execution: decode must return the desired message exactly,
     for every desired index and every (capped) N-subset of responders."""
     p = params
-    rng = rng or np.random.default_rng(p.seed)
     name = "correctness_sweep"
     secrets = scheme.sample_secrets(p, rng)
     subsets = _t_subsets(p.M, p.N, max_subsets, rng)
@@ -482,8 +488,7 @@ def correctness_sweep(
                 bad = int(np.nonzero((got != want).any(axis=0))[0][0])
                 return CheckResult(
                     name, False,
-                    {"desired": ell, "store": bad, "responders": sub,
-                     "seed": p.seed},
+                    {"desired": ell, "store": bad, "responders": sub},
                 )
     return CheckResult(
         name, True,
@@ -534,21 +539,20 @@ def capacity_shape_check(max_K: int = 12, max_N: int = 6) -> CheckResult:
 def run_audit(
     params: SchemeParams,
     trials: int = 10,
-    seed: int | None = None,
+    *,
+    seed: int,
     empirical_samples: int | None = None,
     break_alignment: bool = False,
     lemma1: tuple[int, int, int] | None = None,
 ) -> AuditReport:
     """Full audit of one parameter point; drives the CLI ``audit`` command."""
-    p = params if seed is None else SchemeParams(
-        params.K, params.N, params.T, params.M, params.q, seed
-    )
+    p = params
     if break_alignment and (p.K == 1 or p.T == p.N):
         raise ValueError(
             "fault injection needs K > 1 and T < N; otherwise there is no "
             "side-information coding to break"
         )
-    rng = np.random.default_rng(p.seed)
+    rng = np.random.default_rng(seed)
     checks = []
 
     rate = scheme.achieved_rate(p)
@@ -563,12 +567,12 @@ def run_audit(
     plan = scheme.build_queries(p, 0, secrets, break_alignment=break_alignment)
     if break_alignment:
         # the broken variant must be caught by the structural check
-        res = structural_privacy_check(p, 0, secrets, plan, rng=rng)
+        res = structural_privacy_check(p, 0, plan, rng=rng)
         res = CheckResult("structural_privacy_detects_broken", not res.passed,
                           res.details)
         checks.append(res)
     else:
-        checks.append(structural_privacy_check(p, 0, secrets, plan, rng=rng))
+        checks.append(structural_privacy_check(p, 0, plan, rng=rng))
     checks.append(correctness_sweep(p, trials=trials, rng=rng))
 
     if empirical_samples:

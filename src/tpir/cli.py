@@ -1,15 +1,14 @@
 """Command-line surface: capacity tables, layout dumps, demos, audits, simulations.
 
-Exit codes: 0 success, 1 check failure, 2 usage error. All subcommands are
-deterministic given an explicit --seed; when a seed is needed but absent one
-is generated and printed so runs stay reproducible.
+Exit codes: 0 success, 1 check failure, 2 usage error. demo, audit and
+simulate draw everything from one generator seeded by --seed; without --seed
+a seed is generated and printed so the run can be repeated.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import secrets as _secrets
 import sys
 
@@ -87,15 +86,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from(args) -> SchemeParams:
-    """M defaults to N; subcommands without --seed (layout) use seed 0."""
+    """M defaults to N."""
     M = args.N if args.M is None else args.M
-    seed = getattr(args, "seed", 0)
-    if seed is None:
-        seed = int(os.environ.get("TPIR_SEED", "-1"))
-        if seed < 0:
-            seed = _secrets.randbelow(2**31)
-            print(f"seed: {seed} (generated; pass --seed to reproduce)")
-    return SchemeParams(args.K, args.N, args.T, M, q=args.q, seed=seed)
+    return SchemeParams(args.K, args.N, args.T, M, q=args.q)
+
+
+def _seed_from(args) -> int:
+    """--seed, or a fresh seed that is printed so the run can be repeated."""
+    if args.seed is not None:
+        return args.seed
+    seed = _secrets.randbelow(2**31)
+    print(f"seed: {seed} (generated; pass --seed to reproduce)")
+    return seed
 
 
 def _emit(rows: list[dict], fmt: str, headers: list[str] | None = None):
@@ -153,7 +155,7 @@ def cmd_demo(args) -> int:
         print(f"N^K = {params.L} exceeds the demo guard ({_DEMO_GUARD}); "
               "run `tpir audit` for large parameters instead.", file=sys.stderr)
         return EXIT_USAGE
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(_seed_from(args))
     store = scheme.MessageStore.random(params, rng)
     desired = int(rng.integers(params.K))
     out = simnet.run_session(params, desired, store, rng=rng)
@@ -195,6 +197,7 @@ def _parse_lemma1(text: str) -> tuple[int, int, int]:
 
 def cmd_audit(args) -> int:
     params = _params_from(args)
+    seed = _seed_from(args)
     try:
         lemma1 = _parse_lemma1(args.lemma1) if args.lemma1 else None
     except (KeyError, ValueError):
@@ -203,6 +206,7 @@ def cmd_audit(args) -> int:
     report = audit.run_audit(
         params,
         trials=args.trials,
+        seed=seed,
         empirical_samples=args.R,
         break_alignment=args.break_alignment,
         lemma1=lemma1,
@@ -214,7 +218,7 @@ def cmd_audit(args) -> int:
                  "details": c.details}, default=str))
     else:
         print(f"audit K={params.K} N={params.N} T={params.T} M={params.M} "
-              f"q={params.q} seed={params.seed}")
+              f"q={params.q} seed={seed}")
         for line in report.lines():
             print(" ", line)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -222,7 +226,7 @@ def cmd_audit(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = _params_from(args)
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(_seed_from(args))
     store = scheme.MessageStore.random(params, rng)
     drop = {int(x) for x in args.drop.split(",") if x.strip()}
     try:

@@ -67,7 +67,7 @@ class SchemeParams:
     q is the field modulus, a prime at most 2^31 (so that elimination over
     GF(q) is exact in int64); when omitted it is chosen as the smallest prime
     that fits the longest MDS code the layout needs. Each message has
-    L = N^K symbols. The seed makes every run replayable.
+    L = N^K symbols.
     """
 
     K: int
@@ -75,7 +75,6 @@ class SchemeParams:
     T: int
     M: int
     q: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.K < 1:

@@ -48,7 +48,10 @@ class MessageStore:
     q: int
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.int64)
+        d = np.asarray(self.data)
+        if not np.issubdtype(d.dtype, np.integer):
+            raise ValueError(f"message symbols of dtype {d.dtype}, not integers")
+        d = d.astype(np.int64, copy=False)
         if d.ndim != 2:
             raise ValueError(f"store must be 2-d (K, L), got shape {d.shape}")
         if outside_field(d, self.q):
@@ -99,12 +102,8 @@ class QueryPlan:
     matrices: tuple[np.ndarray, ...]  # one (D, K*L) matrix per database
 
 
-def sample_secrets(
-    params: SchemeParams, rng: np.random.Generator | None = None
-) -> SchemeSecrets:
+def sample_secrets(params: SchemeParams, rng: np.random.Generator) -> SchemeSecrets:
     """Sample the K secret matrices, deterministically given the rng."""
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
     mats = tuple(
         linalg.sample_uniform_full_rank(params.L, params.q, rng)
         for _ in range(params.K)

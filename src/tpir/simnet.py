@@ -71,6 +71,8 @@ def _parse_header(buf: bytes, kind: int) -> tuple[int, int]:
         raise ParseError(f"unsupported version {version}", 4)
     if got_kind != kind:
         raise ParseError(f"wrong message kind {got_kind}, expected {kind}", 5)
+    if q >= 2**63:
+        raise ParseError(f"modulus q={q} is not below 2^63", 7)
     if q < 2 or width != element_width(q):
         raise ParseError(f"inconsistent field width {width} for q={q}", 6)
     return q, _HEADER_LEN
@@ -171,13 +173,14 @@ def run_session(
     desired: int,
     store: scheme.MessageStore,
     drop_set=(),
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     log_dir: str | None = None,
 ) -> dict:
     """One full retrieval against M simulated nodes; returns decode + metrics.
 
-    ``drop_set`` marks nodes silent and must leave at least N responders;
-    the decoder uses the N lowest-id responders.
+    The secrets come from ``rng`` alone. ``drop_set`` marks nodes silent and
+    must leave at least N responders; the decoder uses the N lowest-id ones.
     """
     p = params
     drop_set = frozenset(int(m) for m in drop_set)
@@ -189,7 +192,6 @@ def run_session(
         )
     if not 0 <= desired < p.K:
         raise ValueError(f"desired index {desired} outside [0, {p.K})")
-    rng = rng or np.random.default_rng(p.seed)
     t0 = time.perf_counter()
 
     secrets = scheme.sample_secrets(p, rng)
@@ -243,9 +245,9 @@ def _log_session(p, drop_set, session, metrics, store, log_dir):
     if not log_dir:
         return
     record = {
-        "schema": 1,
+        "schema": 2,
         "timestamp": time.time(),
-        "params": {"K": p.K, "N": p.N, "T": p.T, "M": p.M, "q": p.q, "seed": p.seed},
+        "params": {"K": p.K, "N": p.N, "T": p.T, "M": p.M, "q": p.q},
         "drop_set": sorted(drop_set),
         "store_digest": _digest(elements_to_bytes(store.stacked, p.q)),
         "query_digests": {

@@ -22,7 +22,7 @@ def grid_params():
         for N in range(2, 6):
             for T in range(1, N + 1):
                 for M in (N, N + 1, N + 2):
-                    yield SchemeParams(K, N, T, M, seed=SEED)
+                    yield SchemeParams(K, N, T, M)
 
 
 def report(name, detail, elapsed, budget=None):
@@ -127,7 +127,7 @@ def test_5_exhaustive_secret_invariance():
 
 def test_6_empirical_privacy():
     t0 = time.perf_counter()
-    p = SchemeParams(2, 2, 1, 2, seed=SEED)
+    p = SchemeParams(2, 2, 1, 2)
     honest = audit.empirical_privacy_check(
         p, (0,), 20_000, rng=np.random.default_rng(SEED)
     )

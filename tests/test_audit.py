@@ -50,34 +50,33 @@ def test_capacity_shape():
 def make_plan(p, desired=0, seed=0, break_alignment=False):
     rng = np.random.default_rng(seed)
     secrets = scheme.sample_secrets(p, rng)
-    plan = scheme.build_queries(p, desired, secrets, break_alignment=break_alignment)
-    return secrets, plan
+    return scheme.build_queries(p, desired, secrets, break_alignment=break_alignment)
 
 
 @pytest.mark.parametrize("K,N,T,M", [(2, 3, 2, 3), (3, 3, 2, 3), (2, 4, 3, 6), (1, 3, 2, 4)])
 def test_structural_privacy_passes(K, N, T, M):
     p = SchemeParams(K, N, T, M)
     for desired in range(K):
-        secrets, plan = make_plan(p, desired)
-        res = audit.structural_privacy_check(p, desired, secrets, plan)
+        plan = make_plan(p, desired)
+        res = audit.structural_privacy_check(p, desired, plan)
         assert res.passed, res.details
 
 
 def test_structural_privacy_catches_broken_plan():
     p = SchemeParams(2, 3, 2, 3)
-    secrets, plan = make_plan(p, 0, break_alignment=True)
-    res = audit.structural_privacy_check(p, 0, secrets, plan)
+    plan = make_plan(p, 0, break_alignment=True)
+    res = audit.structural_privacy_check(p, 0, plan)
     assert not res.passed
     assert "alignment_violation" in res.details
 
 
 def test_structural_privacy_catches_tampered_support():
     p = SchemeParams(2, 3, 2, 3)
-    secrets, plan = make_plan(p, 0)
+    plan = make_plan(p, 0)
     tampered = [m.copy() for m in plan.matrices]
     tampered[0][0, p.L + 1] = 1  # block {0} row leaking into message 1's segment
     bad = scheme.QueryPlan(desired=0, layout=plan.layout, matrices=tuple(tampered))
-    res = audit.structural_privacy_check(p, 0, secrets, bad)
+    res = audit.structural_privacy_check(p, 0, bad)
     assert not res.passed
     assert "support_violation" in res.details
 
@@ -85,11 +84,23 @@ def test_structural_privacy_catches_tampered_support():
 def test_structural_counts_match_worked_example():
     """(2,3,2) on 3 databases: every 2-subset sees 6 variables per message."""
     p = SchemeParams(2, 3, 2, 3)
-    secrets, plan = make_plan(p, 0)
-    res = audit.structural_privacy_check(p, 0, secrets, plan)
+    plan = make_plan(p, 0)
+    res = audit.structural_privacy_check(p, 0, plan)
     assert res.passed
     assert res.details["per_message_variables"] == 6
     assert res.details["subsets_checked"] == 3
+
+
+def test_structural_privacy_rejects_plan_for_other_arguments():
+    # a plan checked against other arguments would report a privacy failure
+    # (or a coordinate error) that the plan does not have
+    p = SchemeParams(3, 3, 1, 4)
+    plan = make_plan(p, 0)
+    with pytest.raises(ValueError, match="desired=0"):
+        audit.structural_privacy_check(p, 1, plan)
+    with pytest.raises(ValueError, match="M=5"):
+        audit.structural_privacy_check(p, 0, make_plan(SchemeParams(3, 3, 1, 5), 0))
+    assert audit.structural_privacy_check(SchemeParams(3, 3, 1, 4), 0, plan).passed
 
 
 def test_lemma1_small_exhaustive():
@@ -106,10 +117,24 @@ def test_lemma1_guard():
 
 
 def test_correctness_sweep_examples():
-    assert audit.correctness_sweep(SchemeParams(2, 3, 2, 3), trials=5).passed
-    res = audit.correctness_sweep(SchemeParams(2, 3, 2, 5), trials=2)
+    rng = np.random.default_rng
+    assert audit.correctness_sweep(SchemeParams(2, 3, 2, 3), trials=5, rng=rng(0)).passed
+    res = audit.correctness_sweep(SchemeParams(2, 3, 2, 5), trials=2, rng=rng(0))
     assert res.passed and res.details["subsets"] == 10
-    assert audit.correctness_sweep(SchemeParams(1, 2, 1, 2), trials=2).passed
+    assert audit.correctness_sweep(SchemeParams(1, 2, 1, 2), trials=2, rng=rng(0)).passed
+
+
+def test_randomised_checks_require_generator():
+    # the secrets come from the caller's generator only, never a fixed seed
+    p = SchemeParams(2, 2, 1, 2)
+    with pytest.raises(TypeError):
+        audit.correctness_sweep(p, trials=2)
+    with pytest.raises(TypeError):
+        audit.correctness_sweep(p, 2, np.random.default_rng(0))  # keyword only
+    with pytest.raises(TypeError):
+        audit.empirical_privacy_check(p, (0,), 50)
+    with pytest.raises(TypeError):
+        audit.run_audit(p, trials=2)
 
 
 def test_rate_vs_capacity_m_independence():
@@ -120,13 +145,13 @@ def test_rate_vs_capacity_m_independence():
 
 
 def test_empirical_privacy_small():
-    p = SchemeParams(2, 2, 1, 2, seed=11)
+    p = SchemeParams(2, 2, 1, 2)
     res = audit.empirical_privacy_check(p, (0,), 1500, rng=np.random.default_rng(11))
     assert res.passed, res.details
 
 
 def test_empirical_privacy_rejects_broken():
-    p = SchemeParams(2, 2, 1, 2, seed=12)
+    p = SchemeParams(2, 2, 1, 2)
     res = audit.empirical_privacy_check(
         p, (1,), 1500, rng=np.random.default_rng(12), break_alignment=True
     )
@@ -135,13 +160,13 @@ def test_empirical_privacy_rejects_broken():
 
 
 def test_empirical_privacy_t_equals_n():
-    p = SchemeParams(2, 2, 2, 2, seed=13)
+    p = SchemeParams(2, 2, 2, 2)
     res = audit.empirical_privacy_check(p, (0, 1), 800, rng=np.random.default_rng(13))
     assert res.passed, res.details
 
 
 def test_empirical_privacy_too_few_samples():
-    p = SchemeParams(2, 2, 1, 2, seed=14)
+    p = SchemeParams(2, 2, 1, 2)
     with pytest.raises(ValueError, match="[Ii]ncrease"):
         audit.empirical_privacy_check(p, (0,), 3, rng=np.random.default_rng(14))
 
@@ -152,9 +177,16 @@ def test_empirical_privacy_too_few_samples():
     ids=["negative", "id-above-M", "repeated"],
 )
 def test_empirical_privacy_rejects_bad_database_ids(K, N, T, M, t_subset, bad):
-    p = SchemeParams(K, N, T, M, seed=15)
+    p = SchemeParams(K, N, T, M)
     with pytest.raises(ValueError, match=rf"bad ids \[{bad}\]"):
         audit.empirical_privacy_check(p, t_subset, 50, rng=np.random.default_rng(15))
+
+
+def test_empirical_privacy_needs_two_indices():
+    # with K = 1 there is no pair of desired indices to compare
+    p = SchemeParams(1, 2, 1, 2)
+    with pytest.raises(ValueError, match="K >= 2"):
+        audit.empirical_privacy_check(p, (0,), 200, rng=np.random.default_rng(1))
 
 
 @pytest.mark.parametrize("dof", [*range(1, 30), 50, 100, 199])
@@ -186,7 +218,7 @@ sys.modules["scipy"] = None
 import numpy as np
 import tpir
 from tpir import audit
-p = tpir.SchemeParams(2, 2, 1, 2, seed=11)
+p = tpir.SchemeParams(2, 2, 1, 2)
 res = audit.empirical_privacy_check(p, (0,), 500, rng=np.random.default_rng(11))
 assert res.passed, res.details
 assert sys.modules["scipy"] is None
@@ -200,7 +232,7 @@ assert not [m for m in sys.modules if m.startswith("scipy.")]
 
 
 def test_run_audit_assembles_report():
-    report = audit.run_audit(SchemeParams(2, 3, 2, 4, seed=5), trials=3)
+    report = audit.run_audit(SchemeParams(2, 3, 2, 4), trials=3, seed=5)
     assert report.passed
     names = [c.name for c in report.checks]
     assert names.count("structural_privacy") == 1
@@ -212,6 +244,6 @@ def test_run_audit_assembles_report():
 
 def test_run_audit_fault_injection_guard():
     with pytest.raises(ValueError):
-        audit.run_audit(SchemeParams(1, 2, 1, 2), break_alignment=True)
+        audit.run_audit(SchemeParams(1, 2, 1, 2), seed=0, break_alignment=True)
     with pytest.raises(ValueError):
-        audit.run_audit(SchemeParams(2, 2, 2, 2), break_alignment=True)
+        audit.run_audit(SchemeParams(2, 2, 2, 2), seed=0, break_alignment=True)

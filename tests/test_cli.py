@@ -171,12 +171,18 @@ def test_audit_bad_lemma1_spec(capsys):
     assert code == 2
 
 
-def test_audit_generates_seed_when_absent(capsys, monkeypatch):
-    monkeypatch.delenv("TPIR_SEED", raising=False)
+def test_audit_generates_seed_when_absent(capsys):
     code, out, _ = run(capsys, "audit", "-K", "2", "-N", "2", "-T", "1",
                        "--trials", "2")
     assert code == 0
     assert "seed:" in out  # generated and printed for reproducibility
+
+
+def test_audit_empirical_with_one_message_is_usage_error(capsys):
+    code, out, err = run(capsys, "audit", "-K", "1", "-N", "2", "-T", "1",
+                         "--seed", "1", "-R", "200")
+    assert code == 2
+    assert "K >= 2" in err
 
 
 def test_simulate_with_drops(capsys):
@@ -197,6 +203,18 @@ def test_simulate_logs_to_dir(capsys, tmp_path):
                      "--seed", "2", "--log-dir", str(tmp_path))
     assert code == 0
     assert (tmp_path / "sessions.jsonl").exists()
+
+
+def test_simulate_log_record_carries_no_seed(capsys, tmp_path):
+    # with the seed in the record, the queries of every index could be rebuilt
+    # and matched against its digests
+    code, _, _ = run(capsys, "simulate", "-K", "3", "-N", "3", "-T", "2", "-M", "4",
+                     "--desired", "1", "--seed", "12345", "--log-dir", str(tmp_path))
+    assert code == 0
+    rec = json.loads((tmp_path / "sessions.jsonl").read_text())
+    assert rec["schema"] == 2
+    assert set(rec["params"]) == {"K", "N", "T", "M", "q"}
+    assert "seed" not in rec
 
 
 def test_missing_subcommand_is_usage_error(capsys):

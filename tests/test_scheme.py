@@ -137,6 +137,10 @@ def test_store_validation():
         scheme.MessageStore(np.array([[0, 5]]), 5)
     with pytest.raises(ValueError):
         scheme.MessageStore(np.zeros(3, dtype=np.int64), 5)
+    # a float store would be truncated to symbols nobody stored
+    with pytest.raises(ValueError, match="float64"):
+        scheme.MessageStore(np.array([[0.5, 1.7], [2.9, 4.99]]), 5)
+    assert scheme.MessageStore(np.ones((2, 2), dtype=np.uint8), 5).data.dtype == np.int64
 
 
 def test_secrets_shape_mismatch_rejected():
@@ -147,15 +151,21 @@ def test_secrets_shape_mismatch_rejected():
 
 
 def test_determinism_given_seed():
-    p = SchemeParams(2, 3, 2, 4, seed=77)
-    s1 = scheme.sample_secrets(p)
-    s2 = scheme.sample_secrets(p)
+    p = SchemeParams(2, 3, 2, 4)
+    s1 = scheme.sample_secrets(p, np.random.default_rng(77))
+    s2 = scheme.sample_secrets(p, np.random.default_rng(77))
     for a, b in zip(s1.matrices, s2.matrices):
         assert np.array_equal(a, b)
     p1 = scheme.build_queries(p, 0, s1)
     p2 = scheme.build_queries(p, 0, s2)
     for a, b in zip(p1.matrices, p2.matrices):
         assert np.array_equal(a, b)
+
+
+def test_sample_secrets_requires_generator():
+    # a fixed fallback seed would give secrets that any database can recompute
+    with pytest.raises(TypeError):
+        scheme.sample_secrets(SchemeParams(2, 3, 2, 4))
 
 
 def _decoder_and_answers(p, seed=4):

@@ -11,7 +11,7 @@ from tpir.layout import SchemeParams, total_download
 
 @pytest.fixture
 def session_setup():
-    p = SchemeParams(2, 3, 2, 5, seed=21)
+    p = SchemeParams(2, 3, 2, 5)
     rng = np.random.default_rng(21)
     store = scheme.MessageStore.random(p, rng)
     return p, store, rng
@@ -38,9 +38,17 @@ def test_session_success_for_every_legal_drop_set(session_setup):
 def test_oversized_drop_set_rejected_before_dispatch(session_setup):
     p, store, rng = session_setup
     with pytest.raises(ValueError):
-        simnet.run_session(p, 0, store, drop_set={0, 1, 2})
+        simnet.run_session(p, 0, store, drop_set={0, 1, 2}, rng=rng)
     with pytest.raises(ValueError):
-        simnet.run_session(p, 0, store, drop_set={0, 99})
+        simnet.run_session(p, 0, store, drop_set={0, 99}, rng=rng)
+
+
+def test_session_requires_generator(session_setup):
+    p, store, rng = session_setup
+    with pytest.raises(TypeError):
+        simnet.run_session(p, 0, store)
+    with pytest.raises(TypeError):
+        simnet.run_session(p, 0, store, (), rng)  # keyword only
 
 
 def test_empty_drop_set_uses_lowest_ids(session_setup):

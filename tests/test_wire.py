@@ -119,3 +119,14 @@ def test_answer_values_of_2_63_rejected():
     buf = simnet.encode_answer(scheme.Answer(0, np.array([1, 5])), _Q61)
     with pytest.raises(ValueError, match="outside"):
         simnet.decode_answer(buf[: -len(_TOO_BIG)] + _TOO_BIG)
+
+
+@pytest.mark.parametrize("q", [2**63, 2**64 - 59])
+def test_modulus_int64_cannot_hold_rejected_at_its_offset(q):
+    # the width byte is 8 for these q too, but no int64 array holds their field
+    answer = simnet.encode_answer(scheme.Answer(0, np.array([5])), _Q61)
+    query = simnet.encode_query(np.array([[1, 5]]), _Q61, 1, 2)
+    for buf, decode in ((answer, simnet.decode_answer), (query, simnet.decode_query)):
+        with pytest.raises(simnet.ParseError, match=f"q={q}") as exc:
+            decode(buf[:7] + q.to_bytes(8, "little") + buf[15:])
+        assert exc.value.offset == 7
