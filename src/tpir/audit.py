@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -252,19 +253,19 @@ def _plan_alignment_mismatch(plan: scheme.QueryPlan):
     return None
 
 
-def _canonical_query_bytes(plan: scheme.QueryPlan, t_subset) -> bytes:
-    q = plan.layout.params.q
-    return b"".join(
-        linalg.serialize_matrix(plan.matrices[m], q) for m in sorted(t_subset)
-    )
+def _canonical_query_bytes(matrices, q: int) -> bytes:
+    """The colluding subset's coefficient matrices, serialized in database order."""
+    return b"".join(linalg.serialize_matrix(a, q) for a in matrices)
 
 
-def _support_mask_bytes(plan: scheme.QueryPlan, t_subset) -> bytes:
+def _support_mask_bytes(matrices) -> bytes:
     """Zero/nonzero pattern of the subset's coefficient matrices."""
-    return b"".join(
-        np.packbits(plan.matrices[m].reshape(-1) != 0).tobytes()
-        for m in sorted(t_subset)
-    )
+    return b"".join(np.packbits(a.reshape(-1) != 0).tobytes() for a in matrices)
+
+
+# The most plan entries (samples x M x D x K*L) that ``empirical_privacy_check``
+# builds in one stacked draw, so its memory stays bounded for any sample count.
+_CHUNK_ENTRIES = 2**22
 
 
 def empirical_privacy_check(
@@ -279,7 +280,8 @@ def empirical_privacy_check(
     """Chi-square comparison of query distributions across desired indices.
 
     For each desired index, draws ``sample_count`` independent plans (fresh
-    secrets each) and records the colluding subset's coefficient matrices as
+    secrets each, drawn and built as stacks of at most ``_CHUNK_ENTRIES``
+    plan entries) and records the colluding subset's coefficient matrices as
     a canonical byte string. The per-index empirical distributions are
     compared pairwise with Pearson's statistic (no Yates correction) on the
     2 x C table and dof C - 1; the p-value is the closed-form chi-square
@@ -305,27 +307,29 @@ def empirical_privacy_check(
         raise ValueError(f"collusion subset must have size T={p.T}")
     if p.K < 2:
         raise ValueError("empirical privacy compares desired indices; it needs K >= 2")
+    if sample_count < 1:
+        raise ValueError(f"sample_count={sample_count}; increase the sample count")
     name = "empirical_privacy" + ("_broken" if break_alignment else "")
 
     layouts = [build_layout(p, ell) for ell in range(p.K)]
-    value_counters: list[dict[bytes, int]] = []
-    mask_counters: list[dict[bytes, int]] = []
+    chunk = max(1, _CHUNK_ENTRIES // (p.M * layouts[0].per_db * p.K * p.L))
+    value_counters: list[Counter] = []
+    mask_counters: list[Counter] = []
     for ell in range(p.K):
-        vcounts: dict[bytes, int] = {}
-        mcounts: dict[bytes, int] = {}
-        for _ in range(sample_count):
-            secrets = scheme.sample_secrets(p, rng)
+        vcounts: Counter = Counter()
+        mcounts: Counter = Counter()
+        for start in range(0, sample_count, chunk):
+            secrets = scheme.sample_secrets(p, rng, min(chunk, sample_count - start))
             plan = scheme.build_queries(
                 p, ell, secrets, layout=layouts[ell], break_alignment=break_alignment
             )
-            vkey = hashlib.blake2b(
-                _canonical_query_bytes(plan, t_subset), digest_size=8
-            ).digest()
-            vcounts[vkey] = vcounts.get(vkey, 0) + 1
-            mkey = hashlib.blake2b(
-                _support_mask_bytes(plan, t_subset), digest_size=8
-            ).digest()
-            mcounts[mkey] = mcounts.get(mkey, 0) + 1
+            for seen in zip(*(plan.matrices[m] for m in t_subset)):
+                vcounts[
+                    hashlib.blake2b(_canonical_query_bytes(seen, p.q), digest_size=8).digest()
+                ] += 1
+                mcounts[
+                    hashlib.blake2b(_support_mask_bytes(seen), digest_size=8).digest()
+                ] += 1
         value_counters.append(vcounts)
         mask_counters.append(mcounts)
 

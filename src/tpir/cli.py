@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 check failure, 2 usage error. demo, audit and
 simulate draw everything from one generator seeded by --seed; without --seed
-a seed is generated and printed so the run can be repeated.
+a seed is generated and printed to stderr, so the run can be repeated and
+standard output stays line-delimited JSON under --format records.
 """
 
 from __future__ import annotations
@@ -92,11 +93,11 @@ def _params_from(args) -> SchemeParams:
 
 
 def _seed_from(args) -> int:
-    """--seed, or a fresh seed that is printed so the run can be repeated."""
+    """--seed, or a fresh seed, printed to stderr so the run can be repeated."""
     if args.seed is not None:
         return args.seed
     seed = _secrets.randbelow(2**31)
-    print(f"seed: {seed} (generated; pass --seed to reproduce)")
+    print(f"seed: {seed} (generated; pass --seed to reproduce)", file=sys.stderr)
     return seed
 
 

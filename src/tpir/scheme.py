@@ -70,7 +70,10 @@ class MessageStore:
 
 @dataclass(frozen=True)
 class SchemeSecrets:
-    """K independent uniform draws from GL(N^K, q), private to the user."""
+    """K independent uniform draws from GL(N^K, q), private to the user.
+
+    Each matrix may carry leading stack axes, one secret set per index.
+    """
 
     matrices: tuple[np.ndarray, ...]
 
@@ -99,13 +102,20 @@ class QueryPlan:
 
     desired: int
     layout: BlockLayout
-    matrices: tuple[np.ndarray, ...]  # one (D, K*L) matrix per database
+    # one (..., D, K*L) matrix per database, with the secrets' stack axes
+    matrices: tuple[np.ndarray, ...]
 
 
-def sample_secrets(params: SchemeParams, rng: np.random.Generator) -> SchemeSecrets:
-    """Sample the K secret matrices, deterministically given the rng."""
+def sample_secrets(
+    params: SchemeParams, rng: np.random.Generator, count: int | None = None
+) -> SchemeSecrets:
+    """Sample the K secret matrices, deterministically given the rng.
+
+    With ``count``, each matrix is a (count, L, L) stack of independent
+    draws: ``count`` secret sets, drawn one message at a time.
+    """
     mats = tuple(
-        linalg.sample_uniform_full_rank(params.L, params.q, rng)
+        linalg.sample_uniform_full_rank(params.L, params.q, rng, count)
         for _ in range(params.K)
     )
     return SchemeSecrets(matrices=mats)
@@ -131,13 +141,15 @@ def build_queries(
 
     ``break_alignment`` zeroes the MDS parity coding of the undesired-message
     side information; the result is a deliberately non-private plan used as a
-    negative control by the auditors.
+    negative control by the auditors. Secrets with leading stack axes give
+    matrices with the same leading axes, one plan per secret set.
     """
     if layout is None or layout.desired != desired or layout.params != params:
         layout = build_layout(params, desired)
     q, L, K, M = params.q, params.L, params.K, params.M
+    stack = secrets.matrices[0].shape[:-2] if secrets.matrices else ()
     if len(secrets.matrices) != K or any(
-        s.shape != (L, L) for s in secrets.matrices
+        s.shape != stack + (L, L) for s in secrets.matrices
     ):
         raise ValueError("secrets do not match params (need K matrices of N^K x N^K)")
 
@@ -154,29 +166,30 @@ def build_queries(
         per_msg = {}
         for k in b.subset:
             lo, hi = b.secret_rows[k]
-            rows = linalg.mat_mul(gen, secrets.matrices[k][lo:hi], q)
+            rows = linalg.mat_mul(gen, secrets.matrices[k][..., lo:hi, :], q)
             if break_alignment:
-                rows[b.block_len :] = 0
+                rows[..., b.block_len :, :] = 0
             per_msg[k] = rows
         pair_rows[b.subset] = per_msg
 
     # M separate arrays, not views of one (M, D, K*L) array: at K=4, N=5, T=2,
     # M=7 one array (which numpy backs with transparent huge pages) raised
     # the peak resident memory of building four plans by about 15 MB.
-    matrices = [np.zeros((layout.per_db, K * L), dtype=np.int64) for _ in range(M)]
+    matrices = [np.zeros(stack + (layout.per_db, K * L), dtype=np.int64) for _ in range(M)]
     for b in layout.blocks:
         if b.per_db_len == 0:
             continue
         for k in b.subset:
             if k == desired:
-                seg = x_des[b.desired_offset : b.desired_offset + b.block_len]
+                seg = x_des[..., b.desired_offset : b.desired_offset + b.block_len, :]
             elif b.contains_desired:
                 # parity of the aligned pair code, exactly this block's length
-                seg = pair_rows[b.aligned][k][-b.block_len :]
+                seg = pair_rows[b.aligned][k][..., -b.block_len :, :]
             else:
-                seg = pair_rows[b.subset][k][: b.block_len]
-            for matrix, chunk in zip(matrices, seg.reshape(M, b.per_db_len, L)):
-                matrix[b.rows, k * L : (k + 1) * L] = chunk
+                seg = pair_rows[b.subset][k][..., : b.block_len, :]
+            chunks = seg.reshape(stack + (M, b.per_db_len, L))
+            for m, matrix in enumerate(matrices):
+                matrix[..., b.rows, k * L : (k + 1) * L] = chunks[..., m, :, :]
     return QueryPlan(desired=desired, layout=layout, matrices=tuple(matrices))
 
 

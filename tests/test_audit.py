@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 import tpir
-from tpir import audit, scheme
+from tpir import audit, layout, scheme
 from tpir.layout import SchemeParams
 
 
@@ -167,8 +167,49 @@ def test_empirical_privacy_t_equals_n():
 
 def test_empirical_privacy_too_few_samples():
     p = SchemeParams(2, 2, 1, 2)
-    with pytest.raises(ValueError, match="[Ii]ncrease"):
-        audit.empirical_privacy_check(p, (0,), 3, rng=np.random.default_rng(14))
+    for samples in (3, 0, -5):
+        rng = np.random.default_rng(14)
+        with pytest.raises(ValueError, match="[Ii]ncrease"):
+            audit.empirical_privacy_check(p, (0,), samples, rng=rng)
+        if samples < 1:  # rejected before any draw
+            assert rng.bit_generator.state == np.random.default_rng(14).bit_generator.state
+
+
+def test_empirical_privacy_draws_in_bounded_chunks(monkeypatch):
+    p = SchemeParams(2, 2, 1, 2)
+    entries = p.M * layout.per_db_download(p) * p.K * p.L  # one plan's entries
+    monkeypatch.setattr(audit, "_CHUNK_ENTRIES", 7 * entries + 3)
+    counts = []
+    draw = scheme.sample_secrets
+
+    def spy(params, rng, count=None):
+        counts.append(count)
+        return draw(params, rng, count)
+
+    monkeypatch.setattr(scheme, "sample_secrets", spy)
+    res = audit.empirical_privacy_check(p, (0,), 1500, rng=np.random.default_rng(16))
+    assert res.passed, res.details
+    assert counts == ([7] * 214 + [2]) * p.K
+
+
+@pytest.mark.parametrize(
+    "t_subset,seed,broken,min_p",
+    [((0,), 11, False, 0.6783709335456621), ((1,), 12, True, 6.780697253216704e-142)],
+    ids=["honest", "broken"],
+)
+def test_empirical_privacy_one_plan_chunks_reproduce_pinned_p(
+    monkeypatch, t_subset, seed, broken, min_p
+):
+    # With one plan per chunk the check draws exactly as it did when it drew
+    # one plan at a time; these p-values were recorded then, so the bytes
+    # hashed and the buckets they fall in are unchanged.
+    monkeypatch.setattr(audit, "_CHUNK_ENTRIES", 1)
+    p = SchemeParams(2, 2, 1, 2)
+    res = audit.empirical_privacy_check(
+        p, t_subset, 1500, rng=np.random.default_rng(seed), break_alignment=broken
+    )
+    assert res.passed and res.details["bucketing"] == "support_mask"
+    assert res.details["min_p"] == pytest.approx(min_p, rel=1e-9)
 
 
 @pytest.mark.parametrize(

@@ -172,10 +172,18 @@ def test_audit_bad_lemma1_spec(capsys):
 
 
 def test_audit_generates_seed_when_absent(capsys):
-    code, out, _ = run(capsys, "audit", "-K", "2", "-N", "2", "-T", "1",
-                       "--trials", "2")
+    code, out, err = run(capsys, "audit", "-K", "2", "-N", "2", "-T", "1",
+                         "--trials", "2")
     assert code == 0
-    assert "seed:" in out  # generated and printed for reproducibility
+    assert "seed:" in err and "seed:" not in out  # printed for reproducibility
+
+
+def test_audit_records_without_seed_are_json_lines(capsys):
+    code, out, _ = run(capsys, "audit", "-K", "2", "-N", "2", "-T", "1",
+                       "--trials", "2", "--format", "records")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines and all(json.loads(line)["passed"] for line in lines)
 
 
 def test_audit_empirical_with_one_message_is_usage_error(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import struct
 
@@ -107,6 +108,31 @@ def test_mat_mul_reduces_any_int64_operands_without_writing_them(abq):
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
+@pytest.mark.parametrize("q", MAT_MUL_QS)
+@pytest.mark.parametrize(
+    "a_shape,b_shape",
+    [((3, 4, 5), (5, 2)), ((4, 5), (3, 5, 2)), ((3, 4, 5), (3, 5, 2)), ((2, 1, 4, 5), (3, 5, 2))],
+)
+def test_stacked_mat_mul_matches_per_slice_products(q, a_shape, b_shape):
+    rng = np.random.default_rng(q % 1000)
+    a = rng.integers(-(2**62), 2**62, size=a_shape)
+    b = rng.integers(-(2**62), 2**62, size=b_shape)
+    got = linalg.mat_mul(a, b, q)
+    stack = np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
+    assert got.dtype == np.int64 and got.shape == stack + (a_shape[-2], b_shape[-1])
+    a_all = np.broadcast_to(a, stack + a_shape[-2:])
+    b_all = np.broadcast_to(b, stack + b_shape[-2:])
+    for at in np.ndindex(*stack):
+        assert np.array_equal(got[at], linalg.mat_mul(a_all[at], b_all[at], q))
+
+
+def test_mat_mul_rejects_mismatched_stacks():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        linalg.mat_mul(np.ones((2, 3, 4), dtype=np.int64), np.ones((2, 3, 4), dtype=np.int64), 5)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        linalg.mat_mul(np.ones(3, dtype=np.int64), np.ones((3, 2), dtype=np.int64), 5)
+
+
 @pytest.mark.parametrize("q", [2**63 + 29, 2**64 + 13])
 def test_mat_mul_rejects_modulus_int64_cannot_hold(q):
     with pytest.raises(ValueError, match=str(q)):
@@ -121,15 +147,29 @@ def test_sampler_output_always_invertible(n, q):
         assert linalg.rank(m, q) == n
 
 
-@pytest.mark.parametrize("n,q", [(2, 2), (2, 3)])
-def test_sampler_uniform_over_group(n, q):
+def _with_stacked(shapes):
+    """(n, q, stacked) cases: each shape one draw at a time, then as one stack."""
+    return [
+        pytest.param(n, q, stacked, id=f"{n}-{q}" + ("-stacked" if stacked else ""))
+        for stacked in (False, True)
+        for n, q in shapes
+    ]
+
+
+@pytest.mark.parametrize("n,q,stacked", _with_stacked([(2, 2), (2, 3)]))
+def test_sampler_uniform_over_group(n, q, stacked):
     """Chi-square goodness of fit against the uniform distribution on GL(n,q)."""
     group = {m.tobytes(): 0 for m in linalg.enumerate_full_rank(n, q)}
     size = len(group)
     draws = 300 * size
     rng = np.random.default_rng(123)
-    for _ in range(draws):
-        group[linalg.sample_uniform_full_rank(n, q, rng).tobytes()] += 1
+    if stacked:
+        mats = linalg.sample_uniform_full_rank(n, q, rng, count=draws)
+        assert mats.shape == (draws, n, n)
+    else:
+        mats = [linalg.sample_uniform_full_rank(n, q, rng) for _ in range(draws)]
+    for m in mats:
+        group[m.tobytes()] += 1
     counts = np.array(list(group.values()))
     assert counts.sum() == draws
     _, p = stats.chisquare(counts)
@@ -196,6 +236,27 @@ def test_blocked_rref_matches_unblocked_loop(q):
     assert np.array_equal(blocked, reference)
 
 
+# SHA-256 prefixes of each draw's bytes followed by the generator's next
+# draw, recorded before the sampler took a stack count: without ``count`` the
+# sampler must make the same calls on the generator and return the same matrix.
+PINNED_DRAWS = [
+    (1, 2, 0, "5d7e90fa9c9b5b8c"),
+    (3, 2, 5, "78c8c75e17e1f4df"),
+    (4, 877, 1, "245827d85b1209f7"),
+    (64, 65537, 3, "3a362c4d0e10f4d4"),
+    (130, 5, 11, "cb17911f95f77fcf"),
+    (625, 877, 41, "6f98488b584d8733"),
+]
+
+
+@pytest.mark.parametrize("n,q,seed,digest", PINNED_DRAWS)
+def test_sampler_reproduces_pinned_stream(n, q, seed, digest):
+    rng = np.random.default_rng(seed)
+    m = linalg.sample_uniform_full_rank(n, q, rng)
+    after = rng.integers(0, 2**62, size=1)
+    assert hashlib.sha256(m.tobytes() + after.tobytes()).hexdigest()[:16] == digest
+
+
 def test_sampler_blocked_dimension_is_full_rank_and_seeded():
     m = linalg.sample_uniform_full_rank(130, 5, np.random.default_rng(11))
     assert m.shape == (130, 130)
@@ -215,25 +276,34 @@ class _Replay:
         return out
 
 
-@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (2, 5)])
-def test_sampler_factor_choices_cover_group_once(n, q):
-    """Every choice of V's nonzero rows and C's entries gives a distinct element."""
+@pytest.mark.parametrize("n,q,stacked", _with_stacked([(2, 3), (3, 2), (2, 5)]))
+def test_sampler_factor_choices_cover_group_once(n, q, stacked):
+    """Every choice of V's nonzero rows and C's entries gives a distinct element.
+
+    Stacked, one call draws every choice: all V rows, draw after draw, then
+    all C entries, draw after draw.
+    """
     v_rows = [
         [row for row in itertools.product(range(q), repeat=n - r) if any(row)]
         for r in range(n)
     ]
     c_entries = list(itertools.product(range(q), repeat=n * (n - 1) // 2))
-    seen = set()
-    choices = 0
-    for rows in itertools.product(*v_rows):
-        for c in c_entries:
+    choices = list(itertools.product(itertools.product(*v_rows), c_entries))
+    if stacked:
+        rng = _Replay(
+            [x for rows, _ in choices for x in sum(rows, ())], [x for _, c in choices for x in c]
+        )
+        mats = linalg.sample_uniform_full_rank(n, q, rng, count=len(choices))
+        assert rng.draws == []
+    else:
+        mats = []
+        for rows, c in choices:
             rng = _Replay(sum(rows, ()), c)
-            m = linalg.sample_uniform_full_rank(n, q, rng)
+            mats.append(linalg.sample_uniform_full_rank(n, q, rng))
             assert rng.draws == []
-            assert linalg.rank(m, q) == n
-            seen.add(m.tobytes())
-            choices += 1
-    assert len(seen) == choices == linalg.count_full_rank(n, q)
+    for m in mats:
+        assert linalg.rank(m, q) == n
+    assert len({m.tobytes() for m in mats}) == len(choices) == linalg.count_full_rank(n, q)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -245,6 +315,19 @@ def test_sampler_redraws_all_zero_rows(n):
     assert rng.draws == []
     assert linalg.rank(m, 2) == n
     assert np.array_equal(m, np.triu(np.ones((n, n), dtype=np.int64)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_sampler_redraws_in_draw_then_row_order(n):
+    # both draws start all zero; draw 0's rows are redrawn as in the test
+    # above, then draw 1's rows once each, to a single 1 in the last place
+    first = [d for r in range(n) for d in ([0] * (n - r), [1] * (n - r))]
+    second = [[0] * (n - r - 1) + [1] for r in range(n)]
+    rng = _Replay([0] * (n * (n + 1)), *first, *second, [0] * (n * (n - 1)))
+    m = linalg.sample_uniform_full_rank(n, 2, rng, count=2)
+    assert rng.draws == []
+    assert np.array_equal(m[0], np.triu(np.ones((n, n), dtype=np.int64)))
+    assert np.array_equal(m[1], np.fliplr(np.eye(n, dtype=np.int64)))
 
 
 def _reference_eliminate(a, q, ncols, jordan):

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 from fractions import Fraction
@@ -148,6 +149,12 @@ def test_secrets_shape_mismatch_rejected():
     bad = scheme.SchemeSecrets(matrices=(np.eye(3, dtype=np.int64),) * 2)
     with pytest.raises(ValueError):
         scheme.build_queries(p, 0, bad)
+    # stacked secret sets must agree on their stack shape
+    uneven = scheme.SchemeSecrets(
+        matrices=(np.zeros((3, p.L, p.L), dtype=np.int64), np.zeros((2, p.L, p.L), dtype=np.int64))
+    )
+    with pytest.raises(ValueError):
+        scheme.build_queries(p, 0, uneven)
 
 
 def test_determinism_given_seed():
@@ -160,6 +167,41 @@ def test_determinism_given_seed():
     p2 = scheme.build_queries(p, 0, s2)
     for a, b in zip(p1.matrices, p2.matrices):
         assert np.array_equal(a, b)
+
+
+def _digest(mats, *tail):
+    return hashlib.sha256(b"".join(m.tobytes() for m in (*mats, *tail))).hexdigest()[:16]
+
+
+def test_secrets_and_plans_reproduce_pinned_digests():
+    # recorded before secrets and plans took stack axes: without ``count``
+    # the same generator must give byte-identical secrets and plans
+    rng = np.random.default_rng(7)
+    secrets = scheme.sample_secrets(SchemeParams(4, 5, 2, 7), rng)
+    assert _digest(secrets.matrices, rng.integers(0, 2**62, size=1)) == "18798e53d7dba553"
+    p = SchemeParams(3, 3, 2, 4)
+    rng = np.random.default_rng(5)
+    plan = scheme.build_queries(p, 1, scheme.sample_secrets(p, rng))
+    assert _digest(plan.matrices) == "c681487be1f3ccc4"
+    plan = scheme.build_queries(p, 2, scheme.sample_secrets(p, rng), break_alignment=True)
+    assert _digest(plan.matrices) == "f22965dd886acffe"
+
+
+@pytest.mark.parametrize("break_alignment", [False, True], ids=["honest", "broken"])
+@pytest.mark.parametrize("K,N,T,M", [(2, 3, 2, 4), (3, 2, 1, 3), (2, 2, 2, 2)])
+def test_stacked_plans_match_per_slice_plans(K, N, T, M, break_alignment):
+    p = SchemeParams(K, N, T, M)
+    secrets = scheme.sample_secrets(p, np.random.default_rng(K * 100 + M), count=5)
+    assert all(m.shape == (5, p.L, p.L) for m in secrets.matrices)
+    for desired in range(K):
+        stacked = scheme.build_queries(p, desired, secrets, break_alignment=break_alignment)
+        D = layout.per_db_download(p)
+        assert all(m.shape == (5, D, K * p.L) for m in stacked.matrices)
+        for s in range(5):
+            one = scheme.SchemeSecrets(tuple(m[s] for m in secrets.matrices))
+            plan = scheme.build_queries(p, desired, one, break_alignment=break_alignment)
+            for got, want in zip(stacked.matrices, plan.matrices):
+                assert got[s].dtype == want.dtype and got[s].tobytes() == want.tobytes()
 
 
 def test_sample_secrets_requires_generator():
