@@ -2,8 +2,10 @@
 
 Elements are represented canonically as integers in ``[0, q)``, held in numpy
 int64 arrays; arithmetic on them is array work in :mod:`tpir.linalg` and
-:mod:`tpir.mds`. This module chooses and checks the prime modulus, tests
-arrays for entries outside [0, q), and owns their fixed-width byte encoding.
+:mod:`tpir.mds`. Elements read from the wire stay in their unsigned wire dtype
+(``uint8`` to ``uint64``, by the width of q) until arithmetic widens them.
+This module chooses and checks the prime modulus, tests arrays for entries
+outside [0, q), and owns their fixed-width byte encoding.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ __all__ = [
     "is_prime",
     "smallest_prime_geq",
     "element_width",
+    "as_elements",
     "outside_field",
     "elements_to_bytes",
     "elements_from_bytes",
@@ -67,6 +70,16 @@ def element_width(q: int) -> int:
     raise ValueError(f"modulus {q} too large for 8-byte encoding")
 
 
+def as_elements(values) -> np.ndarray:
+    """``values`` as an array: unsigned integer arrays as they are, anything else as int64.
+
+    So wire values, which are unsigned, are range-tested and multiplied in
+    their own dtype and never copied into int64.
+    """
+    values = np.asarray(values)
+    return values if values.dtype.kind == "u" else values.astype(np.int64, copy=False)
+
+
 def outside_field(values: np.ndarray, q: int) -> bool:
     """Whether an int64 or unsigned integer array has an entry outside [0, q).
 
@@ -84,18 +97,24 @@ _WIRE_DTYPE = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 
 
 def elements_to_bytes(values: np.ndarray, q: int) -> bytes:
-    """Serialize field elements as fixed-width little-endian unsigned ints."""
-    flat = np.ascontiguousarray(values, dtype=np.int64).ravel()
-    if outside_field(flat, q):
+    """Serialize field elements, in C order, as fixed-width little-endian unsigned ints.
+
+    An unsigned integer array is range-tested in its own dtype, so re-encoding
+    decoded wire values never widens them.
+    """
+    values = as_elements(values)
+    if outside_field(values, q):
         raise ValueError("values outside [0, q)")
-    return flat.astype(_WIRE_DTYPE[element_width(q)]).tobytes()
+    return values.astype(_WIRE_DTYPE[element_width(q)], copy=False).tobytes()
 
 
 def elements_from_bytes(buf: bytes, q: int, count: int, offset: int = 0) -> np.ndarray:
     """The ``count`` elements in ``buf`` from byte ``offset`` to its end, read in place.
 
-    Range-checked in the unsigned wire dtype, so a value int64 cannot hold
-    (2^63 or more) is rejected rather than wrapped negative.
+    Returned as a view of ``buf`` in the unsigned wire dtype of q's width, not
+    copied into int64 (read-only when ``buf`` is ``bytes``); arithmetic widens
+    it where it needs to. Range-checked in that dtype, so a value int64 cannot
+    hold (2^63 or more) is rejected rather than wrapped negative.
     """
     w = element_width(q)
     if len(buf) - offset != count * w:
@@ -103,4 +122,4 @@ def elements_from_bytes(buf: bytes, q: int, count: int, offset: int = 0) -> np.n
     wire = np.frombuffer(buf, dtype=_WIRE_DTYPE[w], count=count, offset=offset)
     if outside_field(wire, min(q, 2**63)):
         raise ValueError("encoded value outside [0, q)")
-    return wire.astype(np.int64)
+    return wire

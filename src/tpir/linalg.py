@@ -11,6 +11,8 @@ FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008). Elimination is exact
 for q <= 2^31; larger moduli are rejected. ``mat_mul`` is exact for q < 2^63
 and reduces an operand only if an entry lies outside [0, q): callers pass
 residues, so a product pays one range test per operand, not a ``% q`` copy.
+An unsigned integer operand, such as a query matrix read from the wire, keeps
+its dtype until the product widens it, to float64 for BLAS or to int64.
 
 Uniform elements of GL(n, q) are drawn through a unique factorisation, as a
 product of two random factors, with no elimination and no rejection of
@@ -26,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .field import elements_to_bytes, outside_field
+from .field import as_elements, elements_to_bytes, outside_field
 
 __all__ = [
     "SingularMatrixError",
@@ -70,16 +72,19 @@ def _as_array(a) -> np.ndarray:
 def _product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """An int64 array congruent to a @ b mod q, for entries of a and b in [0, q).
 
-    Leading axes are stacks of matrices, broadcast as by ``@``. Exact, and
-    unreduced while the inner products fit in int64: with
-    ``inner * (q-1)^2 < 2^53`` they run on float64 BLAS, where sums of
-    integers below 2^53 are exact integers, so the cast back is exact; below
-    2^63 they run on int64. Otherwise they run on Python integers and the
-    result is reduced mod q.
+    Leading axes are stacks of matrices, broadcast as by ``@``. The operands
+    are int64 or unsigned integer arrays. Exact, and unreduced while the
+    inner products fit in int64: with ``inner * (q-1)^2 < 2^53`` they run on
+    float64 BLAS, where sums of integers below 2^53 are exact integers, so
+    the cast back is exact; below 2^63 they run on int64. Otherwise they run
+    on Python integers and the result is reduced mod q.
     """
     worst = a.shape[-1] * (q - 1) ** 2
     if worst < 2**53:
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    # numpy promotes uint64 @ int64 to float64, so both become int64 (exact
+    # for residues of q < 2^63) before the integer products.
+    a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
     if worst < 2**63:
         return a @ b
     return np.array((a.astype(object) @ b.astype(object)) % q, dtype=np.int64)
@@ -89,14 +94,16 @@ def mat_mul(a, b, q: int) -> np.ndarray:
     """Matrix product over GF(q), exact for q < 2^63; a larger q raises ``ValueError``.
 
     Neither operand is written to; each is reduced, into a copy, only if an
-    entry lies outside [0, q). Uses float64 BLAS when the unreduced inner
-    products provably fit in the 53-bit mantissa, int64 when they fit in 63
-    bits, and Python integers otherwise. Either operand may be a stack of
-    matrices along leading axes; stacks broadcast as they do for ``@``.
+    entry lies outside [0, q). An unsigned integer operand is used in its
+    own dtype, with no int64 copy; any other is read as int64. The result is
+    int64 whatever the operand dtypes. Uses float64 BLAS when the unreduced
+    inner products provably fit in the 53-bit mantissa, int64 when they fit
+    in 63 bits, and Python integers otherwise. Either operand may be a stack
+    of matrices along leading axes; stacks broadcast as they do for ``@``.
     """
     if q >= 2**63:
         raise ValueError(f"q={q} too large: int64 matrix products need q < 2^63")
-    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    a, b = as_elements(a), as_elements(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
     if outside_field(a, q):

@@ -194,10 +194,17 @@ def build_queries(
 
 
 def answer_query(db_id: int, q_matrix: np.ndarray, store: MessageStore) -> Answer:
-    """A database's deterministic response: Q_m times the stacked store."""
-    if q_matrix.shape[1] != store.stacked.size:
+    """A database's deterministic response: Q_m times the stacked store.
+
+    ``q_matrix`` is a 2-d integer array (an unsigned wire-dtype one is used
+    as it is) with one column per stored symbol; any other shape raises
+    ``ValueError``.
+    """
+    if q_matrix.ndim != 2:
+        raise ValueError(f"query must be a 2-d matrix, got shape {q_matrix.shape}")
+    if q_matrix.shape[-1] != store.stacked.size:
         raise ValueError(
-            f"query has {q_matrix.shape[1]} columns, store has {store.stacked.size} symbols"
+            f"query has {q_matrix.shape[-1]} columns, store has {store.stacked.size} symbols"
         )
     values = linalg.mat_mul(q_matrix, store.stacked.reshape(-1, 1), store.q).ravel()
     return Answer(db_id=db_id, values=values)

@@ -99,7 +99,12 @@ def encode_query(q_matrix: np.ndarray, q: int, K: int, L: int) -> bytes:
 
 
 def decode_query(buf: bytes) -> tuple[np.ndarray, int, int, int]:
-    """Inverse of encode_query: returns (matrix, q, K, L)."""
+    """Inverse of encode_query: returns (matrix, q, K, L).
+
+    The matrix is a view of ``buf`` (read-only when ``buf`` is ``bytes``) in
+    the unsigned wire dtype of q's width, range-checked once and not widened
+    to int64; ``answer_query`` uses it as it is.
+    """
     q, off = _parse_header(buf, _KIND_QUERY)
     if len(buf) < off + 12:
         raise ParseError(
@@ -122,7 +127,12 @@ def encode_answer(answer: scheme.Answer, q: int) -> bytes:
 
 
 def decode_answer(buf: bytes) -> tuple[scheme.Answer, int]:
-    """Inverse of encode_answer: returns (Answer, q)."""
+    """Inverse of encode_answer: returns (Answer, q).
+
+    The answer's values are a view of ``buf`` (read-only when ``buf`` is
+    ``bytes``) in the unsigned wire dtype of q's width; ``Decoder.decode``
+    widens them to int64.
+    """
     q, off = _parse_header(buf, _KIND_ANSWER)
     if len(buf) < off + 8:
         raise ParseError(

@@ -57,6 +57,28 @@ def test_bytes_reject_out_of_range():
             field.elements_from_bytes(value.to_bytes(8, "little"), 2**61 - 1, 1)
 
 
+@pytest.mark.parametrize("q", [5, 257, 65537, 2**61 - 1])
+def test_wire_values_stay_unsigned_and_reencode_unchanged(q):
+    values = np.array([[0, 1, q - 1], [q - 2, 3, 2]], dtype=np.int64)
+    buf = field.elements_to_bytes(values, q)
+    wire = field.elements_from_bytes(buf, q, values.size)
+    assert wire.dtype == np.dtype(f"<u{field.element_width(q)}")
+    assert np.array_equal(wire, values.ravel())
+    assert field.elements_to_bytes(wire, q) == buf
+    # any unsigned dtype is range-tested in that dtype, not wrapped through int64
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        top = np.iinfo(dtype).max
+        if top < q:
+            continue
+        ok = np.array([0, q - 1], dtype=dtype)
+        assert field.elements_to_bytes(ok, q) == field.elements_to_bytes(ok.astype(np.int64), q)
+        for bad in {q, top}:
+            with pytest.raises(ValueError, match="outside"):
+                field.elements_to_bytes(np.array([1, bad], dtype=dtype), q)
+    with pytest.raises(ValueError, match="outside"):
+        field.elements_to_bytes(np.array([1, -1]), q)
+
+
 @pytest.mark.parametrize("q", [2, 2**31 - 1])
 def test_outside_field_flags_exactly_the_non_residues(q):
     for bad in (-1, q, -(2**63), 2**63 - 1):

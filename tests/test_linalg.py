@@ -108,6 +108,38 @@ def test_mat_mul_reduces_any_int64_operands_without_writing_them(abq):
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
+# (q, inner dimension) per exact path of mat_mul's product: float64 BLAS,
+# int64 (inner * (q-1)^2 between 2^53 and 2^63) and Python ints.
+_UNSIGNED_PATHS = {"float64": (877, 7), "int64": (134217689, 300), "object": (2**63 - 25, 4)}
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+@pytest.mark.parametrize("path", _UNSIGNED_PATHS)
+def test_mat_mul_takes_unsigned_operands_as_their_int64_residues(path, dtype):
+    q, inner = _UNSIGNED_PATHS[path]
+    worst = inner * (q - 1) ** 2
+    assert path == ("float64" if worst < 2**53 else "int64" if worst < 2**63 else "object")
+    top = int(np.iinfo(dtype).max)
+    rng = np.random.default_rng([inner, np.dtype(dtype).itemsize])
+    a = rng.integers(0, top, size=(3, inner), dtype=dtype, endpoint=True)
+    # the largest entry, q itself and, for uint64, 2^63: reduced, never wrapped
+    a[0, :3] = top, min(q, top), min(2**63, top)
+    b = rng.integers(0, q, size=(inner, 2))
+    a0 = a.copy()
+    # int64 operands congruent to a, reduced with Python integers
+    a64 = np.array([[x % q for x in row] for row in a.tolist()], dtype=np.int64)
+    products = [
+        (linalg.mat_mul(a, b, q), linalg.mat_mul(a64, b, q)),
+        (linalg.mat_mul(b.T, a.T, q), linalg.mat_mul(b.T, a64.T, q)),
+        (linalg.mat_mul(a, a.T, q), linalg.mat_mul(a64, a64.T, q)),
+    ]
+    for got, want in products:
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    want = [[sum(x * int(y) for x, y in zip(row, col)) % q for col in b.T] for row in a.tolist()]
+    assert products[0][0].tolist() == want
+    assert np.array_equal(a, a0)
+
+
 @pytest.mark.parametrize("q", MAT_MUL_QS)
 @pytest.mark.parametrize(
     "a_shape,b_shape",

@@ -144,6 +144,18 @@ def test_store_validation():
     assert scheme.MessageStore(np.ones((2, 2), dtype=np.uint8), 5).data.dtype == np.int64
 
 
+@pytest.mark.parametrize(
+    "shape,match",
+    [((8,), r"2-d matrix, got shape \(8,\)"), ((2, 3, 8), r"2-d matrix, got shape \(2, 3, 8\)"),
+     ((3, 5), "5 columns, store has 8 symbols")],
+    ids=["1-d", "3-d", "columns"],
+)
+def test_answer_query_rejects_queries_of_the_wrong_shape(shape, match):
+    store = scheme.MessageStore(np.ones((2, 4), dtype=np.int64), 5)
+    with pytest.raises(ValueError, match=match):
+        scheme.answer_query(0, np.ones(shape, dtype=np.int64), store)
+
+
 def test_secrets_shape_mismatch_rejected():
     p = SchemeParams(2, 2, 1, 2)
     bad = scheme.SchemeSecrets(matrices=(np.eye(3, dtype=np.int64),) * 2)

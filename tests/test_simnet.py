@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tpir import scheme, simnet
+from tpir.field import element_width
 from tpir.layout import SchemeParams, total_download
 
 
@@ -118,3 +119,27 @@ def test_node_rejects_query_for_another_store(q, K, L, name):
     query = simnet.encode_query(np.ones((3, K * L), dtype=np.int64), q, K, L)
     with pytest.raises(ValueError, match=f"{name}="):
         node.answer(query)
+
+
+@pytest.mark.parametrize("point", [(2, 3, 2, 5), (4, 5, 2, 7)])
+def test_node_answers_wire_queries_as_int64_queries(point):
+    """A node answers from the query's wire-dtype view with the bytes an int64
+    query matrix gives, and never writes to the query buffer."""
+    p = SchemeParams(*point)
+    rng = np.random.default_rng(5)
+    store = scheme.MessageStore.random(p, rng)
+    plan = scheme.build_queries(p, 1, scheme.sample_secrets(p, rng))
+    for m in range(p.M):
+        query = plan.matrices[m]
+        assert query.dtype == np.int64
+        qb = simnet.encode_query(query, p.q, p.K, p.L)
+        wire, *_ = simnet.decode_query(qb)
+        assert wire.dtype == np.dtype(f"u{element_width(p.q)}") and not wire.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            wire %= p.q
+        want = simnet.encode_answer(scheme.answer_query(m, query, store), p.q)
+        node = simnet.DatabaseNode(m, store)
+        assert node.answer(qb) == want
+        # a mutable buffer gives a writable view, which must stay as it was sent
+        buf = bytearray(qb)
+        assert node.answer(buf) == want and buf == qb
