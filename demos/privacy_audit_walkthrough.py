@@ -32,7 +32,8 @@ print(f"structural check over all {res.details['subsets_checked']} coalitions: "
       f"({res.details['per_message_variables']} variables per message each)")
 
 # the same check catches a plan whose side information skips MDS coding
-broken = scheme.build_queries(p, 0, secrets, break_alignment=True)
+broken = scheme.build_queries(p, 0, secrets)
+audit.without_alignment(broken)
 res = audit.structural_privacy_check(p, 0, broken)
 print(f"broken plan caught: {not res.passed} ({res.details})")
 

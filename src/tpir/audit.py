@@ -8,6 +8,9 @@ empirical chi-square comparison of query distributions across desired
 indices. Correctness is checked by brute-force execution over responder
 subsets, and the achieved rate is compared to the capacity formula as exact
 rationals.
+
+The negative control lives only here: ``without_alignment`` breaks an
+honest plan, and the checks run with ``break_alignment`` must reject it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "capacity",
     "download_cost",
     "structural_privacy_check",
+    "without_alignment",
     "empirical_privacy_check",
     "lemma1_exhaustive_check",
     "correctness_sweep",
@@ -83,9 +87,14 @@ def download_cost(K: int, N: int, T: int) -> Fraction:
 
 
 def _t_subsets(M: int, T: int, cap: int, rng: np.random.Generator | None):
+    """Every T-subset of the M databases, or ``cap`` of them drawn from ``rng``."""
     if math.comb(M, T) <= cap:
         return list(itertools.combinations(range(M), T))
-    rng = rng or np.random.default_rng(0)
+    if rng is None:
+        raise ValueError(
+            f"C({M}, {T}) = {math.comb(M, T)} subsets exceed the cap of {cap}; "
+            "drawing some of them needs a generator (rng)"
+        )
     seen = set()
     while len(seen) < cap:
         seen.add(tuple(sorted(rng.choice(M, size=T, replace=False).tolist())))
@@ -107,7 +116,10 @@ def structural_privacy_check(
     rows it sees must have full row rank. Invertibility is certified by an
     explicit inverse and product-equals-identity verification. If a plan is
     supplied its row-support pattern is also validated against the layout;
-    its desired index and parameters must be ``desired`` and ``params``.
+    its desired index and parameters must be ``desired`` and ``params``, and
+    each of its matrices must be one 2-d (D, K*L) query, not a stack. When
+    there are more T-subsets than ``max_subsets``, that many are drawn from
+    ``rng``, which is then required.
     """
     p = params
     name = "structural_privacy"
@@ -117,6 +129,11 @@ def structural_privacy_check(
             f"checked as desired={desired} at {p}"
         )
     layout = plan.layout if plan is not None else build_layout(p, desired)
+    if plan is not None and any(m.shape != (layout.per_db, p.K * p.L) for m in plan.matrices):
+        raise ValueError(
+            f"plan matrices of shapes {sorted({m.shape for m in plan.matrices})}, not "
+            f"({layout.per_db}, {p.K * p.L}); check a stacked plan one slice at a time"
+        )
     q = p.q
     expected_per_msg = p.T * p.N ** (p.K - 1)
 
@@ -253,6 +270,27 @@ def _plan_alignment_mismatch(plan: scheme.QueryPlan):
     return None
 
 
+def without_alignment(plan: scheme.QueryPlan) -> None:
+    """Break an honest plan in place, as the privacy checks' negative control.
+
+    Zeroes the parity of every side-information code (the pair's message
+    segments on the rows of the block that also holds the desired index) in
+    every matrix and stack slice. With no such parity (K = 1 or T = N) it
+    raises ``ValueError``.
+    """
+    L = plan.layout.params.L
+    blocks = [b for b in plan.layout.blocks if b.contains_desired and b.aligned and b.per_db_len]
+    if not blocks:
+        raise ValueError(
+            "fault injection needs K > 1 and T < N; otherwise there is no "
+            "side-information coding to break"
+        )
+    for qm in plan.matrices:
+        for b in blocks:
+            for k in b.aligned:
+                qm[..., b.rows, k * L : (k + 1) * L] = 0
+
+
 def _canonical_query_bytes(matrices, q: int) -> bytes:
     """The colluding subset's coefficient matrices, serialized in database order."""
     return b"".join(linalg.serialize_matrix(a, q) for a in matrices)
@@ -286,8 +324,8 @@ def empirical_privacy_check(
     compared pairwise with Pearson's statistic (no Yates correction) on the
     2 x C table and dof C - 1; the p-value is the closed-form chi-square
     tail ``_chi2_sf``. Bonferroni-corrected rejection at ``significance``
-    fails the check. ``break_alignment`` runs the deliberately broken
-    no-MDS-coding variant (expected to be rejected).
+    fails the check. ``break_alignment`` checks plans broken by
+    ``without_alignment`` instead (expected to be rejected).
 
     Bucketing: exact values while the observed support is small. When the
     value space is too large for repeats, a 64-bit hash of the full bytes
@@ -320,9 +358,9 @@ def empirical_privacy_check(
         mcounts: Counter = Counter()
         for start in range(0, sample_count, chunk):
             secrets = scheme.sample_secrets(p, rng, min(chunk, sample_count - start))
-            plan = scheme.build_queries(
-                p, ell, secrets, layout=layouts[ell], break_alignment=break_alignment
-            )
+            plan = scheme.build_queries(p, ell, secrets, layout=layouts[ell])
+            if break_alignment:
+                without_alignment(plan)
             for seen in zip(*(plan.matrices[m] for m in t_subset)):
                 vcounts[
                     hashlib.blake2b(_canonical_query_bytes(seen, p.q), digest_size=8).digest()
@@ -409,19 +447,12 @@ def _merge_sparse_buckets(table: np.ndarray, min_expected: float = 5.0) -> np.nd
     return table
 
 
-def lemma1_exhaustive_check(
-    alpha: int,
-    beta: int,
-    q: int,
-    max_cases: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> CheckResult:
+def lemma1_exhaustive_check(alpha: int, beta: int, q: int) -> CheckResult:
     """Exact distributional invariance of secret-matrix row selections.
 
     Over all S in GL(alpha, q), the multiset {G @ S[I, :]} must equal the
     multiset {S[:beta, :]} for every invertible beta x beta G and every
-    vector I of beta distinct row indices. Exhaustive over (G, I) unless
-    ``max_cases`` caps it, in which case that many random cases are drawn.
+    vector I of beta distinct row indices, exhaustively over (G, I).
     """
     name = f"lemma1_alpha{alpha}_beta{beta}_q{q}"
     if q ** (alpha * alpha) > 2**24:
@@ -432,14 +463,8 @@ def lemma1_exhaustive_check(
     reference = _row_multiset(s_all[:, :beta, :], q)
 
     g_all = list(linalg.enumerate_full_rank(beta, q))
-    index_vectors = list(itertools.permutations(range(alpha), beta))
-    cases = list(itertools.product(range(len(g_all)), range(len(index_vectors))))
-    if max_cases is not None and len(cases) > max_cases:
-        rng = rng or np.random.default_rng(0)
-        cases = [cases[i] for i in rng.choice(len(cases), size=max_cases, replace=False)]
-
-    for gi, ii in cases:
-        g, ivec = g_all[gi], list(index_vectors[ii])
+    index_vectors = [list(v) for v in itertools.permutations(range(alpha), beta)]
+    for (gi, g), ivec in itertools.product(enumerate(g_all), index_vectors):
         transformed = np.einsum("ij,sjk->sik", g, s_all[:, ivec, :]) % q
         if _row_multiset(transformed, q) != reference:
             return CheckResult(
@@ -447,7 +472,7 @@ def lemma1_exhaustive_check(
             )
     return CheckResult(
         name, True,
-        {"gl_size": s_all.shape[0], "cases": len(cases)},
+        {"gl_size": s_all.shape[0], "cases": len(g_all) * len(index_vectors)},
     )
 
 
@@ -549,13 +574,11 @@ def run_audit(
     break_alignment: bool = False,
     lemma1: tuple[int, int, int] | None = None,
 ) -> AuditReport:
-    """Full audit of one parameter point; drives the CLI ``audit`` command."""
+    """Full audit of one parameter point; drives the CLI ``audit`` command.
+
+    ``break_alignment`` checks plans broken by ``without_alignment`` instead.
+    """
     p = params
-    if break_alignment and (p.K == 1 or p.T == p.N):
-        raise ValueError(
-            "fault injection needs K > 1 and T < N; otherwise there is no "
-            "side-information coding to break"
-        )
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -568,9 +591,10 @@ def run_audit(
     checks.append(capacity_shape_check())
 
     secrets = scheme.sample_secrets(p, rng)
-    plan = scheme.build_queries(p, 0, secrets, break_alignment=break_alignment)
+    plan = scheme.build_queries(p, 0, secrets)
     if break_alignment:
         # the broken variant must be caught by the structural check
+        without_alignment(plan)
         res = structural_privacy_check(p, 0, plan, rng=rng)
         res = CheckResult("structural_privacy_detects_broken", not res.passed,
                           res.details)

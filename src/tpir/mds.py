@@ -84,14 +84,18 @@ def verify_mds_property(
     """Check that k-row submatrices are invertible.
 
     Exhaustively over all C(n, k) subsets when requested (or n small),
-    otherwise over ``samples`` random subsets. Returns True on success,
-    False if some submatrix is singular.
+    otherwise over ``samples`` subsets drawn from ``rng``, which is then
+    required. Returns True on success, False if some submatrix is singular.
     """
     g = _generator_cached(spec.n, spec.k, spec.q)
     if exhaustive or spec.n <= _EXHAUSTIVE_LIMIT:
         subsets = itertools.combinations(range(spec.n), spec.k)
+    elif rng is None:
+        raise ValueError(
+            f"n={spec.n} > {_EXHAUSTIVE_LIMIT} and not exhaustive: "
+            "drawing k-subsets needs a generator (rng)"
+        )
     else:
-        rng = rng or np.random.default_rng(0)
         subsets = (
             tuple(sorted(rng.choice(spec.n, size=spec.k, replace=False)))
             for _ in range(samples)

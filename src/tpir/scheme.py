@@ -135,14 +135,11 @@ def build_queries(
     desired: int,
     secrets: SchemeSecrets,
     layout: BlockLayout | None = None,
-    break_alignment: bool = False,
 ) -> QueryPlan:
     """Materialize the M coefficient matrices for retrieving ``desired``.
 
-    ``break_alignment`` zeroes the MDS parity coding of the undesired-message
-    side information; the result is a deliberately non-private plan used as a
-    negative control by the auditors. Secrets with leading stack axes give
-    matrices with the same leading axes, one plan per secret set.
+    Secrets with leading stack axes give matrices with the same leading axes,
+    one plan per secret set.
     """
     if layout is None or layout.desired != desired or layout.params != params:
         layout = build_layout(params, desired)
@@ -163,14 +160,10 @@ def build_queries(
         if b.contains_desired or b.alpha == 0:
             continue
         gen = mds.generator(_pair_spec(layout, b))
-        per_msg = {}
-        for k in b.subset:
-            lo, hi = b.secret_rows[k]
-            rows = linalg.mat_mul(gen, secrets.matrices[k][..., lo:hi, :], q)
-            if break_alignment:
-                rows[..., b.block_len :, :] = 0
-            per_msg[k] = rows
-        pair_rows[b.subset] = per_msg
+        pair_rows[b.subset] = {
+            k: linalg.mat_mul(gen, secrets.matrices[k][..., slice(*b.secret_rows[k]), :], q)
+            for k in b.subset
+        }
 
     # M separate arrays, not views of one (M, D, K*L) array: at K=4, N=5, T=2,
     # M=7 one array (which numpy backs with transparent huge pages) raised

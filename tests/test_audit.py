@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -50,7 +51,10 @@ def test_capacity_shape():
 def make_plan(p, desired=0, seed=0, break_alignment=False):
     rng = np.random.default_rng(seed)
     secrets = scheme.sample_secrets(p, rng)
-    return scheme.build_queries(p, desired, secrets, break_alignment=break_alignment)
+    plan = scheme.build_queries(p, desired, secrets)
+    if break_alignment:
+        audit.without_alignment(plan)
+    return plan
 
 
 @pytest.mark.parametrize("K,N,T,M", [(2, 3, 2, 3), (3, 3, 2, 3), (2, 4, 3, 6), (1, 3, 2, 4)])
@@ -68,6 +72,77 @@ def test_structural_privacy_catches_broken_plan():
     res = audit.structural_privacy_check(p, 0, plan)
     assert not res.passed
     assert "alignment_violation" in res.details
+
+
+# sha256 prefixes of the plans that ``build_queries(..., break_alignment=True)``
+# gave before the fault moved out of the builder, one per desired index, from
+# secrets drawn with default_rng(100 K + 10 N + M)
+BROKEN_PLAN_DIGESTS = {
+    (2, 3, 2, 4, None): ("a0a6c220b8945053", "28f1940aa18f7221"),
+    (2, 3, 2, 4, 3): ("7b5d1d75306b0b27", "4fcfd8379cea69a4"),
+    (3, 2, 1, 3, None): ("3228a6c2401d8efd", "d570bcc426a63ca6", "8ad15c54eb389d1b"),
+    (3, 2, 1, 3, 3): ("64374706fd0479c2", "cfdc582a312eec68", "f846cc878cbd1806"),
+    (3, 3, 2, 4, None): ("e24dbc441f8b4e7a", "11184f4c1925296c", "8818df6bdb200824"),
+    (3, 3, 2, 4, 3): ("0096319df414041a", "eea73c8425b6c67f", "0ae3ea8d4c0164e4"),
+}
+
+
+@pytest.mark.parametrize("K,N,T,M,count", list(BROKEN_PLAN_DIGESTS))
+def test_without_alignment_reproduces_pinned_plans(K, N, T, M, count):
+    p = SchemeParams(K, N, T, M)
+    secrets = scheme.sample_secrets(p, np.random.default_rng(K * 100 + N * 10 + M), count)
+    got = []
+    for desired in range(K):
+        plan = scheme.build_queries(p, desired, secrets)
+        audit.without_alignment(plan)
+        data = b"".join(m.tobytes() for m in plan.matrices)
+        got.append(hashlib.sha256(data).hexdigest()[:16])
+    assert tuple(got) == BROKEN_PLAN_DIGESTS[K, N, T, M, count]
+
+
+def test_without_alignment_zeroes_only_aligned_parity():
+    """The fault zeroes the parity of each pair code, and nothing else."""
+    p = SchemeParams(2, 3, 2, 3)
+    good = make_plan(p, 0)
+    bad = make_plan(p, 0, break_alignment=True)
+    # parity of pair block B rides in B + {desired}, on the segments of B's messages
+    parity = np.zeros((good.layout.per_db, p.K * p.L), dtype=bool)
+    for b in good.layout.blocks:
+        if not b.contains_desired and b.alpha > 0:
+            for k in b.subset:
+                parity[good.layout.by_subset[b.aligned].rows, k * p.L : (k + 1) * p.L] = True
+    assert parity.any()
+    for g, b in zip(good.matrices, bad.matrices):
+        assert np.array_equal(g[~parity], b[~parity])
+        assert not b[parity].any()
+    assert any(g[parity].any() for g in good.matrices)
+
+
+@pytest.mark.parametrize("K,N,T,M", [(1, 3, 2, 4), (2, 2, 2, 2), (3, 3, 3, 4)])
+def test_without_alignment_needs_parity_to_break(K, N, T, M):
+    plan = make_plan(SchemeParams(K, N, T, M))
+    before = [m.copy() for m in plan.matrices]
+    with pytest.raises(ValueError, match="K > 1 and T < N"):
+        audit.without_alignment(plan)
+    assert all(np.array_equal(a, b) for a, b in zip(before, plan.matrices))
+
+
+def test_structural_privacy_rejects_stacked_plan():
+    # a stack of plans used to escape as a bare IndexError from the support check
+    p = SchemeParams(2, 3, 2, 3)
+    secrets = scheme.sample_secrets(p, np.random.default_rng(0), count=4)
+    plan = scheme.build_queries(p, 0, secrets)
+    with pytest.raises(ValueError, match="one slice at a time"):
+        audit.structural_privacy_check(p, 0, plan)
+
+
+def test_structural_privacy_sampling_needs_generator():
+    # C(5, 2) = 10 collusion subsets exceed the cap of 4, so some are drawn
+    p = SchemeParams(2, 3, 2, 5)
+    with pytest.raises(ValueError, match="needs a generator"):
+        audit.structural_privacy_check(p, 0, max_subsets=4)
+    res = audit.structural_privacy_check(p, 0, max_subsets=4, rng=np.random.default_rng(2))
+    assert res.passed and res.details["subsets_checked"] == 4
 
 
 def test_structural_privacy_catches_tampered_support():
@@ -163,6 +238,11 @@ def test_empirical_privacy_t_equals_n():
     p = SchemeParams(2, 2, 2, 2)
     res = audit.empirical_privacy_check(p, (0, 1), 800, rng=np.random.default_rng(13))
     assert res.passed, res.details
+    # with no parity to zero there is no broken variant to reject
+    with pytest.raises(ValueError, match="K > 1 and T < N"):
+        audit.empirical_privacy_check(
+            p, (0, 1), 800, rng=np.random.default_rng(13), break_alignment=True
+        )
 
 
 def test_empirical_privacy_too_few_samples():
@@ -284,7 +364,7 @@ def test_run_audit_assembles_report():
 
 
 def test_run_audit_fault_injection_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="K > 1 and T < N"):
         audit.run_audit(SchemeParams(1, 2, 1, 2), seed=0, break_alignment=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="K > 1 and T < N"):
         audit.run_audit(SchemeParams(2, 2, 2, 2), seed=0, break_alignment=True)

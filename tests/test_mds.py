@@ -144,6 +144,9 @@ def test_verify_mds_property_exhaustive_and_sampled():
     rng = np.random.default_rng(0)
     big = mds.MdsSpec(30, 12, 101)
     assert mds.verify_mds_property(big, exhaustive=False, samples=200, rng=rng)
+    # sampled subsets come from the caller's generator, never a fixed seed
+    with pytest.raises(ValueError, match="needs a generator"):
+        mds.verify_mds_property(big, exhaustive=False, samples=200)
 
 
 def test_spec_validation():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tpir import layout, linalg, scheme
+from tpir import audit, layout, linalg, scheme
 from tpir.layout import SchemeParams, build_layout
 
 
@@ -121,18 +121,6 @@ def test_t_equals_n_rate_is_one_over_k():
         assert scheme.achieved_rate(SchemeParams(K, 3, 3, 3)) == Fraction(1, K)
 
 
-def test_break_alignment_still_decodes_but_changes_plan():
-    """The fault zeroes side-information parity; decoding from all-N answers
-    of the unbroken responders set is no longer guaranteed, and the plan differs."""
-    p = SchemeParams(2, 3, 2, 3)
-    secrets = scheme.sample_secrets(p, np.random.default_rng(0))
-    good = scheme.build_queries(p, 0, secrets)
-    bad = scheme.build_queries(p, 0, secrets, break_alignment=True)
-    assert any(
-        not np.array_equal(g, b) for g, b in zip(good.matrices, bad.matrices)
-    )
-
-
 def test_store_validation():
     with pytest.raises(ValueError):
         scheme.MessageStore(np.array([[0, 5]]), 5)
@@ -195,7 +183,8 @@ def test_secrets_and_plans_reproduce_pinned_digests():
     rng = np.random.default_rng(5)
     plan = scheme.build_queries(p, 1, scheme.sample_secrets(p, rng))
     assert _digest(plan.matrices) == "c681487be1f3ccc4"
-    plan = scheme.build_queries(p, 2, scheme.sample_secrets(p, rng), break_alignment=True)
+    plan = scheme.build_queries(p, 2, scheme.sample_secrets(p, rng))
+    audit.without_alignment(plan)
     assert _digest(plan.matrices) == "f22965dd886acffe"
 
 
@@ -205,13 +194,22 @@ def test_stacked_plans_match_per_slice_plans(K, N, T, M, break_alignment):
     p = SchemeParams(K, N, T, M)
     secrets = scheme.sample_secrets(p, np.random.default_rng(K * 100 + M), count=5)
     assert all(m.shape == (5, p.L, p.L) for m in secrets.matrices)
+
+    def build(desired, secrets):
+        plan = scheme.build_queries(p, desired, secrets)
+        if break_alignment and T == N:  # no parity to break, stacked or not
+            with pytest.raises(ValueError, match="T < N"):
+                audit.without_alignment(plan)
+        elif break_alignment:
+            audit.without_alignment(plan)
+        return plan
+
     for desired in range(K):
-        stacked = scheme.build_queries(p, desired, secrets, break_alignment=break_alignment)
+        stacked = build(desired, secrets)
         D = layout.per_db_download(p)
         assert all(m.shape == (5, D, K * p.L) for m in stacked.matrices)
         for s in range(5):
-            one = scheme.SchemeSecrets(tuple(m[s] for m in secrets.matrices))
-            plan = scheme.build_queries(p, desired, one, break_alignment=break_alignment)
+            plan = build(desired, scheme.SchemeSecrets(tuple(m[s] for m in secrets.matrices)))
             for got, want in zip(stacked.matrices, plan.matrices):
                 assert got[s].dtype == want.dtype and got[s].tobytes() == want.tobytes()
 
