@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -25,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg, mds, scheme
+from .field import elements_to_bytes
 from .layout import SchemeParams, build_layout, total_download
 
 __all__ = [
@@ -291,14 +293,23 @@ def without_alignment(plan: scheme.QueryPlan) -> None:
                 qm[..., b.rows, k * L : (k + 1) * L] = 0
 
 
-def _canonical_query_bytes(matrices, q: int) -> bytes:
-    """The colluding subset's coefficient matrices, serialized in database order."""
-    return b"".join(linalg.serialize_matrix(a, q) for a in matrices)
+def _chunk_keys(matrices, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's canonical bytes and support mask, one row per sample.
 
-
-def _support_mask_bytes(matrices) -> bytes:
-    """Zero/nonzero pattern of the subset's coefficient matrices."""
-    return b"".join(np.packbits(a.reshape(-1) != 0).tobytes() for a in matrices)
+    ``matrices`` are the colluding databases' (samples, D, K*L) plan stacks,
+    in database order. Row s of the first array is sample s's matrices as
+    ``linalg.serialize_matrix`` writes them (the ``<II`` shape header, then
+    the wire-dtype elements), one after another; row s of the second is
+    their zero/nonzero patterns, each packed into whole bytes.
+    """
+    count = matrices[0].shape[0]
+    values, masks = [], []
+    for a in matrices:
+        header = np.frombuffer(struct.pack("<II", *a.shape[1:]), dtype=np.uint8)
+        values.append(np.broadcast_to(header, (count, header.size)))
+        values.append(np.frombuffer(elements_to_bytes(a, q), dtype=np.uint8).reshape(count, -1))
+        masks.append(np.packbits(a.reshape(count, -1) != 0, axis=1))
+    return np.concatenate(values, axis=1), np.concatenate(masks, axis=1)
 
 
 # The most plan entries (samples x M x D x K*L) that ``empirical_privacy_check``
@@ -318,12 +329,12 @@ def empirical_privacy_check(
     """Chi-square comparison of query distributions across desired indices.
 
     For each desired index, draws ``sample_count`` independent plans (fresh
-    secrets each, drawn and built as stacks of at most ``_CHUNK_ENTRIES``
-    plan entries) and records the colluding subset's coefficient matrices as
-    a canonical byte string. The per-index empirical distributions are
-    compared pairwise with Pearson's statistic (no Yates correction) on the
-    2 x C table and dof C - 1; the p-value is the closed-form chi-square
-    tail ``_chi2_sf``. Bonferroni-corrected rejection at ``significance``
+    secrets each, drawn for that index and built as stacks of at most
+    ``_CHUNK_ENTRIES`` plan entries) and records the colluding subset's
+    coefficient matrices as a canonical byte string. The per-index
+    empirical distributions are compared pairwise with Pearson's statistic
+    (no Yates correction) on the 2 x C table and dof C - 1; the p-value is
+    the closed-form chi-square tail ``_chi2_sf``. Bonferroni-corrected rejection at ``significance``
     fails the check. ``break_alignment`` checks plans broken by
     ``without_alignment`` instead (expected to be rejected).
 
@@ -357,17 +368,16 @@ def empirical_privacy_check(
         vcounts: Counter = Counter()
         mcounts: Counter = Counter()
         for start in range(0, sample_count, chunk):
-            secrets = scheme.sample_secrets(p, rng, min(chunk, sample_count - start))
+            secrets = scheme.sample_secrets(
+                p, rng, min(chunk, sample_count - start), desired=ell
+            )
             plan = scheme.build_queries(p, ell, secrets, layout=layouts[ell])
             if break_alignment:
                 without_alignment(plan)
-            for seen in zip(*(plan.matrices[m] for m in t_subset)):
-                vcounts[
-                    hashlib.blake2b(_canonical_query_bytes(seen, p.q), digest_size=8).digest()
-                ] += 1
-                mcounts[
-                    hashlib.blake2b(_support_mask_bytes(seen), digest_size=8).digest()
-                ] += 1
+            values, masks = _chunk_keys([plan.matrices[m] for m in t_subset], p.q)
+            for value, mask in zip(values, masks):
+                vcounts[hashlib.blake2b(value, digest_size=8).digest()] += 1
+                mcounts[hashlib.blake2b(mask, digest_size=8).digest()] += 1
         value_counters.append(vcounts)
         mask_counters.append(mcounts)
 

@@ -100,6 +100,11 @@ class SchemeParams:
         """Message length in field symbols."""
         return self.N**self.K
 
+    @property
+    def undesired_secret_rows(self) -> int:
+        """Rows of an undesired message's secret that a plan reads: T * N^(K-1)."""
+        return self.T * self.N ** (self.K - 1)
+
 
 @dataclass(frozen=True)
 class Block:
@@ -244,7 +249,7 @@ def build_layout(params: SchemeParams, desired: int) -> BlockLayout:
             )
     layout = BlockLayout(params=params, desired=desired, blocks=tuple(blocks))
     assert desired_cursor == layout.desired_code_len
-    assert all(c == T * N ** (K - 1) for c in secret_cursor.values())
+    assert all(c == params.undesired_secret_rows for c in secret_cursor.values())
     return layout
 
 

@@ -247,7 +247,11 @@ def invert(a, q: int) -> np.ndarray:
 
 
 def sample_uniform_full_rank(
-    n: int, q: int, rng: np.random.Generator, count: int | None = None
+    n: int,
+    q: int,
+    rng: np.random.Generator,
+    count: int | None = None,
+    rows: int | None = None,
 ) -> np.ndarray:
     """Uniform draw from GL(n, q), deterministic given the generator state.
 
@@ -263,44 +267,74 @@ def sample_uniform_full_rank(
     With ``count``, returns a (count, n, n) stack of independent draws, each
     made as above from its own values.
 
+    With ``rows``, returns only the first ``rows`` rows of each draw, exactly
+    ``full[..., :rows, :]`` of the draw the same generator state gives
+    without it, and leaves the generator in the same state. C is unit lower
+    triangular, so those rows of C @ V are C[:rows, :rows] @ V[:rows], and
+    V's later rows never move them: their values are drawn, and redrawn
+    while all zero, then discarded. Only the placement and the product
+    shrink to ``rows`` rows.
+
     Calls on ``rng``, with d = 1 without ``count`` and d = count with it:
     ``integers(0, q, size=d*n(n+1)/2)`` for V's rows, row after row and draw
     after draw; ``integers(0, q, size=n-r)`` for each redraw of row r, in
     (draw, row) order; then ``integers(0, q, size=d*n(n-1)/2)`` for C's
-    below-diagonal entries in row-major order, draw after draw.
+    below-diagonal entries in row-major order, draw after draw. Raises
+    ``ValueError``, before any call, for n < 1, for q < 2 (no row could be
+    nonzero) and for ``rows`` outside 1..n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    shape = (n, n) if count is None else (count, n, n)
+    if q < 2:
+        raise ValueError(f"q={q}: a nonzero row needs q >= 2")
+    r = n if rows is None else rows
+    if not 1 <= r <= n:
+        raise ValueError(f"rows={rows} outside 1..{n}")
+    stack = () if count is None else (count,)
     draws = 1 if count is None else count
+    shape = stack + (r, n)
     i = np.arange(n)
-    # row r's n - r values, left-aligned; a mask of v's full shape keeps
+    # row k's n - k values, left-aligned; a mask of v's full shape keeps
     # numpy on its boolean fast path, with no index arrays. It is made
     # before v: the other order raised the peak resident memory of a
     # 625 x 625 draw by about 1.4 MB.
-    drawn = np.broadcast_to(i[:, None] + i < n, shape)
+    drawn = np.broadcast_to(i[:r, None] + i < n, shape)
     v = np.zeros(shape, dtype=np.int64)
-    v[drawn] = rng.integers(0, q, size=draws * n * (n + 1) // 2, dtype=np.int64)
-    for at in zip(*np.nonzero(~v.any(axis=-1))):
-        row, width = v[at], n - int(at[-1])
+    vals = rng.integers(0, q, size=draws * n * (n + 1) // 2, dtype=np.int64)
+    unread = []  # all-zero rows past r, as (draw, row)
+    if r < n:
+        kept, past = r * n - r * (r - 1) // 2, i[r:]  # values of rows < r; rows past r
+        starts = past * n - past * (past - 1) // 2 - kept  # of each row past r's values
+        vals = vals.reshape(draws, -1)
+        zero = ~np.logical_or.reduceat(vals[:, kept:] != 0, starts, axis=1)
+        unread = [(d, r + j) for d, j in zip(*np.nonzero(zero))]
+        vals = vals[:, :kept].reshape(-1)
+    v[drawn] = vals
+    del vals  # held through the product, it slowed a 625 x 625 draw by about 1 ms
+    # all-zero rows, kept ones and discarded ones, in (draw, row) order
+    flat = v.reshape(draws, r, n)
+    redraw = sorted([*zip(*np.nonzero(~flat.any(axis=-1))), *unread])
+    for d, k in redraw:
+        row = flat[d, k] if k < r else np.zeros(n, dtype=np.int64)
         while not row.any():
-            row[:width] = rng.integers(0, q, size=width, dtype=np.int64)
-    # lead[..., j] is the row whose leading entry sits in column j, so row r
-    # writes its values into the columns j with lead[..., j] >= r, in column order
-    lead = np.empty(shape[:-1], dtype=np.int64)
-    firsts = (v != 0).argmax(axis=-1).reshape(-1, n).tolist()
+            row[: n - k] = rng.integers(0, q, size=n - k, dtype=np.int64)
+    # lead[..., j] is the row whose leading entry sits in column j (r where
+    # no kept row's does), so row k writes its values into the columns j
+    # with lead[..., j] >= k, in column order
+    lead = np.full(stack + (n,), r, dtype=np.int64)
+    firsts = (v != 0).argmax(axis=-1).reshape(-1, r).tolist()
     for out, first in zip(lead.reshape(-1, n), firsts):
         free = list(range(n))
-        for r, p in enumerate(first):
-            out[free.pop(p)] = r
+        for k, p in enumerate(first):
+            out[free.pop(p)] = k
     values = v[drawn]
     v[...] = 0
-    v[lead[..., None, :] >= i[:, None]] = values
-    c = np.zeros(shape, dtype=np.int64)
-    c[..., i, i] = 1
-    c[np.broadcast_to(i[:, None] > i, shape)] = rng.integers(
+    v[lead[..., None, :] >= i[:r, None]] = values
+    c = np.zeros(stack + (r, r), dtype=np.int64)
+    c[..., i[:r], i[:r]] = 1
+    c[np.broadcast_to(i[:r, None] > i[:r], c.shape)] = rng.integers(
         0, q, size=draws * n * (n - 1) // 2, dtype=np.int64
-    )
+    ).reshape(draws, -1)[:, : r * (r - 1) // 2].reshape(-1)
     return _product(c, v, q) % q  # both factors are residues: no range test
 
 

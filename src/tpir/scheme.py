@@ -72,7 +72,10 @@ class MessageStore:
 class SchemeSecrets:
     """K independent uniform draws from GL(N^K, q), private to the user.
 
-    Each matrix may carry leading stack axes, one secret set per index.
+    Each matrix may carry leading stack axes, one secret set per index. A
+    set drawn for one desired index holds that message's matrix in full
+    (L x L) and only the first ``SchemeParams.undesired_secret_rows`` rows
+    of each other one, the rows its plan reads.
     """
 
     matrices: tuple[np.ndarray, ...]
@@ -107,16 +110,29 @@ class QueryPlan:
 
 
 def sample_secrets(
-    params: SchemeParams, rng: np.random.Generator, count: int | None = None
+    params: SchemeParams,
+    rng: np.random.Generator,
+    count: int | None = None,
+    desired: int | None = None,
 ) -> SchemeSecrets:
     """Sample the K secret matrices, deterministically given the rng.
 
     With ``count``, each matrix is a (count, L, L) stack of independent
-    draws: ``count`` secret sets, drawn one message at a time.
+    draws: ``count`` secret sets, drawn one message at a time. With
+    ``desired``, every other message's matrix is only its first
+    ``params.undesired_secret_rows`` rows, shape (..., T * N^(K-1), L): the
+    rows a plan for ``desired`` reads. Its calls on ``rng`` and the rows it
+    returns are those of the full draw, so the plans, answers and decoded
+    messages are the same bytes.
     """
+    if desired is not None and not 0 <= desired < params.K:
+        raise ValueError(f"desired index {desired} out of range [0, {params.K})")
+    rows = params.undesired_secret_rows
     mats = tuple(
-        linalg.sample_uniform_full_rank(params.L, params.q, rng, count)
-        for _ in range(params.K)
+        linalg.sample_uniform_full_rank(
+            params.L, params.q, rng, count, rows=None if desired in (None, k) else rows
+        )
+        for k in range(params.K)
     )
     return SchemeSecrets(matrices=mats)
 
@@ -146,9 +162,17 @@ def build_queries(
     q, L, K, M = params.q, params.L, params.K, params.M
     stack = secrets.matrices[0].shape[:-2] if secrets.matrices else ()
     if len(secrets.matrices) != K or any(
-        s.shape != stack + (L, L) for s in secrets.matrices
+        s.ndim < 2
+        or s.shape[:-2] != stack
+        or s.shape[-1] != L
+        or (s.shape[-2] != L if k == desired else s.shape[-2] < params.undesired_secret_rows)
+        for k, s in enumerate(secrets.matrices)
     ):
-        raise ValueError("secrets do not match params (need K matrices of N^K x N^K)")
+        raise ValueError(
+            f"secrets do not match params: need K={K} matrices with one stack shape, "
+            f"the desired one {L} x {L} and the others at least "
+            f"{params.undesired_secret_rows} x {L}"
+        )
 
     # coefficient rows of the desired codeword over W_desired
     x_des = linalg.mat_mul(

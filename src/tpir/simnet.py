@@ -189,8 +189,10 @@ def run_session(
 ) -> dict:
     """One full retrieval against M simulated nodes; returns decode + metrics.
 
-    The secrets come from ``rng`` alone. ``drop_set`` marks nodes silent and
-    must leave at least N responders; the decoder uses the N lowest-id ones.
+    The secrets come from ``rng`` alone, drawn for ``desired``: only the
+    rows its plan reads, the same bytes as a full draw's first rows.
+    ``drop_set`` marks nodes silent and must leave at least N responders;
+    the decoder uses the N lowest-id ones.
     """
     p = params
     drop_set = frozenset(int(m) for m in drop_set)
@@ -204,7 +206,7 @@ def run_session(
         raise ValueError(f"desired index {desired} outside [0, {p.K})")
     t0 = time.perf_counter()
 
-    secrets = scheme.sample_secrets(p, rng)
+    secrets = scheme.sample_secrets(p, rng, desired=desired)
     layout = build_layout(p, desired)
     plan = scheme.build_queries(p, desired, secrets, layout=layout)
     nodes = [

@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 import tpir
-from tpir import audit, layout, scheme
+from tpir import audit, layout, linalg, scheme
 from tpir.layout import SchemeParams
 
 
@@ -262,14 +262,29 @@ def test_empirical_privacy_draws_in_bounded_chunks(monkeypatch):
     counts = []
     draw = scheme.sample_secrets
 
-    def spy(params, rng, count=None):
-        counts.append(count)
-        return draw(params, rng, count)
+    def spy(params, rng, count=None, desired=None):
+        counts.append((count, desired))
+        return draw(params, rng, count, desired)
 
     monkeypatch.setattr(scheme, "sample_secrets", spy)
     res = audit.empirical_privacy_check(p, (0,), 1500, rng=np.random.default_rng(16))
     assert res.passed, res.details
-    assert counts == ([7] * 214 + [2]) * p.K
+    # each index's plans come from secrets drawn for that index
+    assert counts == [(c, ell) for ell in range(p.K) for c in [7] * 214 + [2]]
+
+
+@pytest.mark.parametrize("K,N,T,M,t_subset", [(2, 2, 1, 2, (1,)), (3, 3, 2, 4, (0, 3))])
+def test_chunk_keys_match_per_sample_bytes(K, N, T, M, t_subset):
+    p = SchemeParams(K, N, T, M)
+    secrets = scheme.sample_secrets(p, np.random.default_rng(K + M), count=5, desired=1)
+    plan = scheme.build_queries(p, 1, secrets)
+    seen = [plan.matrices[m] for m in t_subset]
+    values, masks = audit._chunk_keys(seen, p.q)
+    for s in range(5):
+        assert values[s].tobytes() == b"".join(linalg.serialize_matrix(a[s], p.q) for a in seen)
+        assert masks[s].tobytes() == b"".join(
+            np.packbits(a[s].reshape(-1) != 0).tobytes() for a in seen
+        )
 
 
 @pytest.mark.parametrize(

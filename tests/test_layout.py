@@ -73,7 +73,7 @@ def test_row_budget_identity(p):
 
 @pytest.mark.parametrize("p", list(params_grid(3, 4, (0, 2))))
 def test_secret_row_budget(p):
-    """Every message's secret rows across blocks cover exactly T*N^(K-1) rows."""
+    """Every message's secret rows across blocks cover exactly its first T*N^(K-1) rows."""
     for desired in range(p.K):
         lay = build_layout(p, desired)
         for k in range(p.K):
@@ -84,7 +84,9 @@ def test_secret_row_budget(p):
                 if not b.contains_desired and k in b.subset and b.alpha
             )
             total = sum(hi - lo for lo, hi in used)
-            assert total == p.T * p.N ** (p.K - 1)
+            assert total == p.T * p.N ** (p.K - 1) == p.undesired_secret_rows
+            # the first rows, which are all a secret drawn for ``desired`` holds
+            assert used[0][0] == 0
             # contiguous, non-overlapping
             for (lo1, hi1), (lo2, hi2) in zip(used, used[1:]):
                 assert hi1 == lo2

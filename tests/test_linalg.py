@@ -362,6 +362,49 @@ def test_stacked_sampler_redraws_in_draw_then_row_order(n):
     assert np.array_equal(m[1], np.fliplr(np.eye(n, dtype=np.int64)))
 
 
+@pytest.mark.parametrize(
+    "n,q,count,rows",
+    [(5, 2, None, 1), (5, 2, None, 5), (6, 3, None, 4), (30, 3, 4, 12), (7, 2, 50, 3),
+     (130, 877, None, 52), (625, 877, None, 250)],
+)
+def test_sampler_rows_are_the_full_draws_first_rows(n, q, count, rows):
+    full_rng, rows_rng = np.random.default_rng(n + rows), np.random.default_rng(n + rows)
+    full = linalg.sample_uniform_full_rank(n, q, full_rng, count)
+    part = linalg.sample_uniform_full_rank(n, q, rows_rng, count, rows=rows)
+    assert part.shape == full.shape[:-2] + (rows, n)
+    assert np.array_equal(part, full[..., :rows, :])
+    assert rows_rng.bit_generator.state == full_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "count,rows,draws",
+    [
+        # rows 1 and 2 are past ``rows``: drawn zero, redrawn, then discarded
+        (None, 1, ([0, 1, 1, 0, 0, 0], [0, 0], [1, 0], [1], [1, 1, 0])),
+        # draw 0's discarded row 2 is redrawn before draw 1's kept row 0
+        (2, 2, ([1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1], [1], [0, 0, 1], [1, 0, 1, 0, 1, 1])),
+    ],
+    ids=["single", "stacked"],
+)
+def test_sampler_rows_redraws_discarded_rows_in_order(count, rows, draws):
+    full_rng, rows_rng = _Replay(*draws), _Replay(*draws)
+    full = linalg.sample_uniform_full_rank(3, 2, full_rng, count)
+    part = linalg.sample_uniform_full_rank(3, 2, rows_rng, count, rows=rows)
+    assert full_rng.draws == rows_rng.draws == []
+    assert np.array_equal(part, full[..., :rows, :])
+
+
+@pytest.mark.parametrize(
+    "n,q,rows", [(3, 1, None), (3, 0, None), (3, 1, 2), (3, 5, 0), (3, 5, 4), (3, 5, -1)]
+)
+def test_sampler_rejects_bad_field_or_rows_before_drawing(n, q, rows):
+    # q < 2 has no nonzero row to draw, so the redraw loop would never end;
+    # _Replay has no draws queued, so a call on it fails instead of hanging
+    rng = _Replay()
+    with pytest.raises(ValueError, match="q=" if q < 2 else "rows="):
+        linalg.sample_uniform_full_rank(n, q, rng, rows=rows)
+
+
 def _reference_eliminate(a, q, ncols, jordan):
     """Unblocked Gauss(-Jordan) elimination reducing every step: the test oracle."""
     m = a.shape[0]

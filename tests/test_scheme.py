@@ -155,6 +155,47 @@ def test_secrets_shape_mismatch_rejected():
     )
     with pytest.raises(ValueError):
         scheme.build_queries(p, 0, uneven)
+    R = p.undesired_secret_rows
+    full = np.eye(p.L, dtype=np.int64)
+    for mats in (
+        (full, full[: R - 1]),  # an undesired secret short of the rows read
+        (full[:R], full),  # the desired secret not L x L
+        (full, full[:, :R]),  # an undesired secret not L wide
+        (full, full[0]),  # not a matrix
+    ):
+        with pytest.raises(ValueError, match="secrets do not match"):
+            scheme.build_queries(p, 0, scheme.SchemeSecrets(matrices=mats))
+
+
+@pytest.mark.parametrize("count", [None, 3])
+@pytest.mark.parametrize(
+    "K,N,T,M", [(2, 3, 2, 4), (3, 3, 2, 4), (3, 2, 1, 3), (2, 2, 2, 2), (1, 2, 1, 2)]
+)
+def test_secrets_drawn_for_desired_are_the_full_draws_rows(K, N, T, M, count):
+    p = SchemeParams(K, N, T, M)
+    for desired in range(K):
+        full_rng = np.random.default_rng(K * 100 + M + desired)
+        rows_rng = np.random.default_rng(K * 100 + M + desired)
+        full = scheme.sample_secrets(p, full_rng, count)
+        part = scheme.sample_secrets(p, rows_rng, count, desired=desired)
+        assert rows_rng.bit_generator.state == full_rng.bit_generator.state
+        for k, (f, s) in enumerate(zip(full.matrices, part.matrices)):
+            rows = p.L if k == desired else p.undesired_secret_rows
+            assert s.shape == f.shape[:-2] + (rows, p.L)
+            assert np.array_equal(s, f[..., :rows, :])
+        got = scheme.build_queries(p, desired, part)
+        want = scheme.build_queries(p, desired, full)
+        for a, b in zip(got.matrices, want.matrices):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_secrets_for_desired_reject_an_index_out_of_range():
+    p = SchemeParams(2, 3, 2, 4)
+    for desired in (-1, 2):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="desired index"):
+            scheme.sample_secrets(p, rng, desired=desired)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_determinism_given_seed():

@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import itertools
 import json
 import os
@@ -64,6 +66,39 @@ def test_transcript_replay(session_setup):
     out = simnet.run_session(p, 1, store, drop_set={0}, rng=rng)
     replayed = simnet.replay_transcript(out["session"])
     assert np.array_equal(replayed, out["decoded"])
+
+
+# SHA-256 prefixes of a seeded session's query bytes and answer bytes (in
+# database order), its decoded message and the generator's next draw,
+# recorded when sessions drew every secret in full: drawing only the rows a
+# plan reads must leave the stream, and so every byte, unchanged.
+PINNED_SESSIONS = [
+    ((3, 3, 2, 4), 21, 2, (1,), "3a46428177ec1cdd"),
+    ((4, 5, 2, 7), 1, 2, (0, 3), "c828fb844301225e"),
+]
+
+
+@pytest.mark.parametrize("point,seed,desired,drop,digest", PINNED_SESSIONS)
+def test_session_reproduces_pinned_bytes_of_full_secrets(point, seed, desired, drop, digest):
+    p = SchemeParams(*point)
+    rng = np.random.default_rng(seed)
+    store = scheme.MessageStore.random(p, rng)
+    full_rng = copy.deepcopy(rng)
+    out = simnet.run_session(p, desired, store, drop_set=drop, rng=rng)
+    t = out["session"].transcript
+    h = hashlib.sha256()
+    for m in sorted(t["query_bytes"]):
+        h.update(t["query_bytes"][m])
+    for m in sorted(t["answer_bytes"]):
+        h.update(t["answer_bytes"][m])
+    h.update(out["decoded"].tobytes() + rng.integers(0, 2**62, size=1).tobytes())
+    assert h.hexdigest()[:16] == digest
+    assert np.array_equal(out["decoded"], store.data[desired])
+    assert np.array_equal(simnet.replay_transcript(out["session"]), out["decoded"])
+    # the same queries as a plan built from the full secrets
+    plan = scheme.build_queries(p, desired, scheme.sample_secrets(p, full_rng))
+    for m, matrix in enumerate(plan.matrices):
+        assert t["query_bytes"][m] == simnet.encode_query(matrix, p.q, p.K, p.L)
 
 
 def test_transcript_covers_all_traffic(session_setup):
