@@ -502,7 +502,11 @@ def correctness_sweep(
     max_subsets: int = 200,
 ) -> CheckResult:
     """Brute-force execution: decode must return the desired message exactly,
-    for every desired index and every (capped) N-subset of responders."""
+    for every desired index and every (capped) N-subset of responders.
+
+    The subsets' tables are computed once, and each desired index decodes
+    every subset and store in one stacked pass. A failure names the first
+    wrong desired index, then subset, then store."""
     p = params
     name = "correctness_sweep"
     secrets = scheme.sample_secrets(p, rng)
@@ -510,28 +514,23 @@ def correctness_sweep(
     stores = [scheme.MessageStore.random(p, rng) for _ in range(trials)]
     # columns are independent stores; one decode per subset covers all trials
     stacked = np.stack([s.stacked for s in stores], axis=1)
-    decodes = 0
+    tables = scheme.subset_tables(build_layout(p, 0), subsets)
     for ell in range(p.K):
         plan = scheme.build_queries(p, ell, secrets)
-        decoder = scheme.Decoder(p, ell, secrets, plan.layout)
-        want = np.stack([s.data[ell] for s in stores], axis=1)
-        answers = [
-            scheme.Answer(m, linalg.mat_mul(plan.matrices[m], stacked, p.q))
-            for m in range(p.M)
-        ]
-        decoder.subset_tables(subsets)
-        for sub in subsets:
-            got = decoder.decode([answers[m] for m in sub])
-            decodes += trials
-            if not np.array_equal(got, want):
-                bad = int(np.nonzero((got != want).any(axis=0))[0][0])
-                return CheckResult(
-                    name, False,
-                    {"desired": ell, "store": bad, "responders": sub},
-                )
+        answers = np.stack([linalg.mat_mul(m, stacked, p.q) for m in plan.matrices])
+        got = scheme.Decoder(p, ell, secrets, plan.layout).decode_subsets(
+            tables, answers[tables.responders]
+        )
+        wrong = (got != stacked[ell * p.L : (ell + 1) * p.L]).any(axis=1)
+        if wrong.any():
+            sub, bad = np.argwhere(wrong)[0]
+            return CheckResult(
+                name, False,
+                {"desired": ell, "store": int(bad), "responders": subsets[sub]},
+            )
     return CheckResult(
         name, True,
-        {"trials": trials, "subsets": len(subsets), "decodes": decodes},
+        {"trials": trials, "subsets": len(subsets), "decodes": p.K * len(subsets) * trials},
     )
 
 

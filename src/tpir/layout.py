@@ -135,9 +135,13 @@ class Block:
         return slice(self.row_offset, self.row_offset + self.per_db_len)
 
     def coords(self, dbs) -> np.ndarray:
-        """Block-vector coordinates held by databases ``dbs``, in that order."""
-        dbs = np.asarray(dbs, dtype=np.int64).reshape(-1, 1)
-        return (dbs * self.per_db_len + np.arange(self.per_db_len)).reshape(-1)
+        """Block-vector coordinates held by databases ``dbs``, in that order.
+
+        A stack of id sets, shape (..., n), gives one row per set.
+        """
+        dbs = np.asarray(dbs, dtype=np.int64)
+        held = dbs[..., None] * self.per_db_len + np.arange(self.per_db_len)
+        return held.reshape(dbs.shape[:-1] + (-1,))
 
     @property
     def parity_len(self) -> int:
@@ -161,9 +165,14 @@ class BlockLayout:
         return sum(b.per_db_len for b in self.blocks)
 
     def desired_coords(self, dbs) -> np.ndarray:
-        """Desired-codeword coordinates held by databases ``dbs``, block by block."""
+        """Desired-codeword coordinates held by databases ``dbs``, block by block.
+
+        Stacked as for ``Block.coords``. The same for every desired index:
+        the blocks holding it have the same sizes in the same order.
+        """
         return np.concatenate(
-            [b.desired_offset + b.coords(dbs) for b in self.blocks if b.contains_desired]
+            [b.desired_offset + b.coords(dbs) for b in self.blocks if b.contains_desired],
+            axis=-1,
         )
 
     @property

@@ -111,8 +111,8 @@ def submatrix_inverse(spec: MdsSpec, coords) -> np.ndarray:
     (S, k, k) stack of their inverses. Every coordinate must lie in 0..n-1;
     anything else raises ``ValueError`` naming the bad coordinates. O(k^2)
     per set, via Lagrange interpolation on the evaluation points; equivalent
-    to ``linalg.invert`` of each submatrix but fast enough to run per
-    responder subset inside the decoder.
+    to ``linalg.invert`` of each submatrix but fast enough to build the
+    decoding tables of every responder subset a sweep decodes from.
     """
     coords = np.asarray(coords, dtype=np.int64)
     if coords.ndim not in (1, 2) or coords.shape[-1] != spec.k:

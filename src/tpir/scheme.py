@@ -11,7 +11,12 @@ processes blocks in increasing subset size: every block that mixes the
 desired message has its interference reconstructed from its aligned
 undesired-only block (any alpha coordinates of an MDS codeword determine the
 rest), subtracted off, and the surviving desired-codeword coordinates are
-inverted through the desired code and the secret matrix.
+inverted through the desired code and the secret matrix. The inverses of the
+code rows a set of responders holds depend on public data only, the params
+and the responders, so ``subset_tables`` computes them for a stack of
+responder subsets at once, and one set serves every desired index.
+``Decoder.decode_subsets`` decodes the answers of such a stack in one pass;
+``Decoder.decode`` checks the answers of one subset and decodes them there.
 """
 
 from __future__ import annotations
@@ -31,9 +36,11 @@ __all__ = [
     "QueryPlan",
     "Answer",
     "InvalidAnswerError",
+    "SubsetTables",
     "sample_secrets",
     "build_queries",
     "answer_query",
+    "subset_tables",
     "Decoder",
     "decode",
     "achieved_rate",
@@ -227,12 +234,47 @@ def answer_query(db_id: int, q_matrix: np.ndarray, store: MessageStore) -> Answe
     return Answer(db_id=db_id, values=values)
 
 
+@dataclass(frozen=True)
+class SubsetTables:
+    """Decoding tables of S responder subsets: public, and the same for every desired index."""
+
+    params: SchemeParams
+    responders: np.ndarray  # (S, N) increasing database ids
+    pair_inv: dict[mds.MdsSpec, np.ndarray]  # pair code -> (S, alpha, alpha)
+    desired_inv: np.ndarray  # (S, L, L)
+
+
+def subset_tables(layout: BlockLayout, subsets) -> SubsetTables:
+    """The decoding tables of every responder subset, computed in one pass for all.
+
+    Each subset is N increasing database ids in 0..M-1; anything else raises
+    ``ValueError``. A subset's tables are the inverses of the rows its
+    databases hold of each pair code with parity and of the desired code (q
+    is prime, as ``SchemeParams`` requires). Those rows depend on block
+    sizes only, not on the desired index, so tables built from the layout of
+    one desired index serve them all.
+    """
+    p = layout.params
+    subsets = [tuple(int(m) for m in s) for s in subsets]
+    for s in subsets:
+        if len(s) != p.N or s != tuple(sorted(set(s))) or s[0] < 0 or s[-1] >= p.M:
+            raise ValueError(f"responders {s} are not {p.N} increasing ids in 0..{p.M - 1}")
+    responders = np.array(subsets, dtype=np.int64).reshape(len(subsets), p.N)
+    pairs = {_pair_spec(layout, b): b for b in layout.blocks if b.parity_len}
+    return SubsetTables(
+        p,
+        responders,
+        {spec: mds.submatrix_inverse(spec, b.coords(responders)) for spec, b in pairs.items()},
+        mds.vandermonde_inverse(layout.desired_coords(responders), p.q),
+    )
+
+
 class Decoder:
     """Interference-cancelling decoder for one (params, desired, secrets) session.
 
-    Inverse matrices are cached per responder subset, so sweeping many
-    responder subsets or stores against one plan stays cheap; ``subset_tables``
-    fills them for many subsets in one pass.
+    ``decode_subsets`` decodes a stack of responder subsets in one pass;
+    ``decode`` checks the answers of one subset and decodes them there,
+    keeping each subset's tables. S_desired is inverted once per decoder.
     """
 
     def __init__(
@@ -249,45 +291,7 @@ class Decoder:
         self.secrets = secrets
         self.layout = layout
         self._secret_inv: np.ndarray | None = None
-        self._per_subset: dict[tuple[int, ...], dict] = {}
-
-    def subset_tables(self, subsets) -> list[dict]:
-        """The decoding tables of each responder subset, filled in one pass for all.
-
-        Each subset is N increasing database ids, the responders ``decode``
-        uses. Its table holds ``"pair_inv"``, block subset -> (alpha, alpha)
-        inverse of the pair code rows those responders hold, for every pair
-        block with parity, and ``"desired_inv"``, the (r, r) inverse of the
-        desired code rows they hold (q is prime, as ``SchemeParams``
-        requires). Tables are cached per subset; the missing ones are
-        computed together, one stacked inverse per distinct pair code (the
-        pair blocks of one size share a code) and one for the desired code.
-        """
-        p = self.params
-        subsets = [tuple(int(m) for m in s) for s in subsets]
-        new = [s for s in dict.fromkeys(subsets) if s not in self._per_subset]
-        for s in new:
-            if len(s) != p.N or s != tuple(sorted(set(s))) or s[0] < 0 or s[-1] >= p.M:
-                raise ValueError(f"responders {s} are not {p.N} increasing ids in 0..{p.M - 1}")
-        if new:
-            by_spec: dict[mds.MdsSpec, list] = {}
-            for b in self.layout.blocks:
-                if not (b.contains_desired or b.alpha == 0 or b.parity_len == 0):
-                    by_spec.setdefault(_pair_spec(self.layout, b), []).append(b)
-            pair_inv = {}
-            for spec, blocks in by_spec.items():
-                coords = np.stack([b.coords(s) for b in blocks for s in new])
-                invs = np.split(mds.submatrix_inverse(spec, coords), len(blocks))
-                pair_inv.update(zip((b.subset for b in blocks), invs))
-            desired_inv = mds.vandermonde_inverse(
-                np.stack([self.layout.desired_coords(s) for s in new]), p.q
-            )
-            for i, s in enumerate(new):
-                self._per_subset[s] = {
-                    "pair_inv": {sub: inv[i] for sub, inv in pair_inv.items()},
-                    "desired_inv": desired_inv[i],
-                }
-        return [self._per_subset[s] for s in subsets]
+        self._tables: dict[tuple[int, ...], SubsetTables] = {}
 
     def decode(self, answers) -> np.ndarray:
         """Recover the desired message from >= N answers with distinct db ids.
@@ -337,36 +341,80 @@ class Decoder:
                     m, f"{vals.shape[1]} columns, other answers have {common}"
                 )
         responders = tuple(sorted(by_id)[: p.N])
-        (tables,) = self.subset_tables([responders])
-        answered = np.stack([by_id[m] for m in responders])  # (N, D, columns)
+        if responders not in self._tables:
+            self._tables[responders] = subset_tables(self.layout, [responders])
+        answered = np.stack([by_id[m] for m in responders])
+        (out,) = self.decode_subsets(self._tables[responders], answered[None])
+        return out if batched else out.ravel()
 
-        def received(b):
-            return answered[:, b.rows].reshape(-1, common)
+    def decode_subsets(self, tables: SubsetTables, answered: np.ndarray) -> np.ndarray:
+        """Recover the desired message from the answers of every subset of ``tables``.
 
-        q = p.q
-        cleaned = []
-        for b in self.layout.blocks:
-            if not b.contains_desired or b.per_db_len == 0:
-                continue
-            vals = received(b)
-            if b.aligned is not None:
-                pair = self.layout.by_subset[b.aligned]
-                # summed info symbols of the aligned interference codeword
-                u = linalg.mat_mul(tables["pair_inv"][pair.subset], received(pair), q)
-                gen = mds.generator(_pair_spec(self.layout, pair))
-                parity_rows = gen[pair.block_len + b.coords(responders)]
-                interference = linalg.mat_mul(parity_rows, u, q)
-                vals = (vals - interference) % q
-            cleaned.append(vals)
-        y = np.concatenate(cleaned)
-
-        slw = linalg.mat_mul(tables["desired_inv"], y, q)
+        ``answered`` is an (S, N, D, t) array: row i holds the answers of the
+        databases ``tables.responders[i]``, in that order, as t columns of
+        residues mod q, one per store. Returns the (S, L, t) messages. Only
+        the shape is checked (``ValueError``); ``decode`` checks answers
+        from outside. The codes are undone from public data only, then
+        S_desired^-1 is applied to every subset's columns in one product.
+        """
+        p = self.params
+        s = len(tables.responders)
+        shape = (s, p.N, self.layout.per_db)
+        if tables.params != p or answered.ndim != 4 or answered.shape[:3] != shape:
+            raise ValueError(
+                f"answers of shape {answered.shape} do not match {s} subsets of "
+                f"{p.N} databases with {self.layout.per_db} symbols each at {tables.params}"
+            )
+        slw = _code_symbols(self.layout, tables, answered)
         # Only S_desired is ever inverted, so it is inverted here, once per
         # decoder, rather than alongside each of the K secret draws.
         if self._secret_inv is None:
-            self._secret_inv = linalg.invert(self.secrets.matrices[self.desired], q)
-        out = linalg.mat_mul(self._secret_inv, slw, q)
-        return out if batched else out.ravel()
+            self._secret_inv = linalg.invert(self.secrets.matrices[self.desired], p.q)
+        out = linalg.mat_mul(self._secret_inv, slw, p.q)
+        return out.reshape(p.L, s, answered.shape[-1]).transpose(1, 0, 2)
+
+
+def _code_symbols(layout: BlockLayout, tables: SubsetTables, answered: np.ndarray) -> np.ndarray:
+    """S_desired times the desired message, (L, S * t), from (S, N, D, t) answers.
+
+    Blocks are processed in layout order; each block that holds the desired
+    index has its aligned interference, re-encoded from the aligned pair
+    block's symbols, subtracted, and the cleaned symbols are inverted through
+    the desired code. The columns come out subset after subset.
+    """
+    q = layout.params.q
+    s, t = len(tables.responders), answered.shape[-1]
+
+    def received(b):
+        return answered[:, :, b.rows].reshape(s, -1, t)
+
+    cleaned = []
+    for b in layout.blocks:
+        if not b.contains_desired or b.per_db_len == 0:
+            continue
+        vals = received(b)
+        if b.aligned is not None:
+            pair = layout.by_subset[b.aligned]
+            spec = _pair_spec(layout, pair)
+            # summed info symbols of the aligned interference codeword, one
+            # 2-d product per subset: the benchmark's traced mat_mul layer
+            # reads the shape of a product's first operand as one matrix
+            u = np.stack([
+                linalg.mat_mul(inv, r, q)
+                for inv, r in zip(tables.pair_inv[spec], received(pair))
+            ])
+            # all its parity symbols, for every subset at once, then the ones
+            # each subset's databases hold
+            parity = linalg.mat_mul(mds.generator(spec)[pair.block_len :], u, q)
+            held = b.coords(tables.responders)[..., None]
+            vals = (vals - np.take_along_axis(parity, held, axis=1)) % q
+        cleaned.append(vals)
+    y = np.concatenate(cleaned, axis=1)
+    # One subset at a time as well: a float64 copy of the whole (S, L, L)
+    # stack of desired-code inverses would raise the peak memory.
+    return np.concatenate(
+        [linalg.mat_mul(inv, ys, q) for inv, ys in zip(tables.desired_inv, y)], axis=1
+    )
 
 
 def decode(

@@ -199,6 +199,32 @@ def test_correctness_sweep_examples():
     assert audit.correctness_sweep(SchemeParams(1, 2, 1, 2), trials=2, rng=rng(0)).passed
 
 
+@pytest.mark.parametrize("desired,store", [(0, 1), (1, 0)])
+def test_correctness_sweep_catches_one_wrong_secret_inverse(monkeypatch, desired, store):
+    # negative control: one entry of one desired index's secret inverse is off
+    # by one. The expected failures are those of the per-subset loop the sweep
+    # had before it stacked its subsets: first desired, then subset, then store.
+    p = SchemeParams(2, 4, 3, 6)
+    honest = audit.correctness_sweep(p, trials=3, rng=np.random.default_rng(2))
+    assert honest.passed
+    assert honest.details == {"trials": 3, "subsets": 15, "decodes": 90}
+    real, calls = linalg.invert, []
+
+    def invert(a, q):
+        inv = real(a, q)
+        if len(calls) == desired:  # the sweep inverts once per desired index, in order
+            inv = inv.copy()
+            inv[0, 0] = (inv[0, 0] + 1) % q
+        calls.append(q)
+        return inv
+
+    monkeypatch.setattr(linalg, "invert", invert)
+    res = audit.correctness_sweep(p, trials=3, rng=np.random.default_rng(2))
+    assert not res.passed
+    assert res.details == {"desired": desired, "store": store, "responders": (0, 1, 2, 3)}
+    assert len(calls) == desired + 1
+
+
 def test_randomised_checks_require_generator():
     # the secrets come from the caller's generator only, never a fixed seed
     p = SchemeParams(2, 2, 1, 2)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tpir import audit, layout, linalg, scheme
+from tpir import audit, layout, linalg, mds, scheme
 from tpir.layout import SchemeParams, build_layout
 
 
@@ -312,22 +312,71 @@ def test_decoder_rejects_invalid_answer(tamper):
 
 @pytest.mark.parametrize("point", [(2, 3, 2, 5), (3, 3, 1, 5)])
 def test_decoder_tables_for_many_subsets_match_one_at_a_time(point):
+    # the tables are keyed by pair code and are the same for every desired index
     p = SchemeParams(*point)
-    secrets = scheme.sample_secrets(p, np.random.default_rng(8))
     subsets = list(itertools.combinations(range(p.M), p.N))
+    first = scheme.subset_tables(build_layout(p, 0), subsets)
+    assert np.array_equal(first.responders, subsets)
+    assert first.desired_inv.shape == (len(subsets), p.L, p.L)
     for desired in range(p.K):
-        together = scheme.Decoder(p, desired, secrets).subset_tables(subsets)
-        alone = scheme.Decoder(p, desired, secrets)
-        for sub, tables in zip(subsets, together):
-            (one,) = alone.subset_tables([sub])
-            assert tables["pair_inv"].keys() == one["pair_inv"].keys()
-            for block, inv in one["pair_inv"].items():
-                assert np.array_equal(tables["pair_inv"][block], inv)
-            assert np.array_equal(tables["desired_inv"], one["desired_inv"])
+        lay = build_layout(p, desired)
+        together = scheme.subset_tables(lay, subsets)
+        specs = {mds.MdsSpec(b.code_len, b.alpha, p.q) for b in lay.blocks if b.parity_len}
+        assert together.pair_inv.keys() == first.pair_inv.keys() == specs
+        for spec, inv in first.pair_inv.items():
+            assert inv.shape == (len(subsets), spec.k, spec.k)
+            assert np.array_equal(together.pair_inv[spec], inv)
+        assert np.array_equal(together.desired_inv, first.desired_inv)
+        for i, sub in enumerate(subsets):
+            one = scheme.subset_tables(lay, [sub])
+            for spec, inv in one.pair_inv.items():
+                assert np.array_equal(together.pair_inv[spec][i], inv[0])
+            assert np.array_equal(together.desired_inv[i], one.desired_inv[0])
 
 
 @pytest.mark.parametrize("subset", [(0, 1), (1, 0, 2), (0, 0, 1), (-1, 0, 1), (2, 3, 5)])
 def test_decoder_tables_reject_bad_responder_subsets(subset):
     decoder, _ = _decoder_and_answers(SchemeParams(2, 3, 2, 5))
     with pytest.raises(ValueError, match="increasing ids"):
-        decoder.subset_tables([subset])
+        scheme.subset_tables(decoder.layout, [subset])
+
+
+@pytest.mark.parametrize("point", [(2, 3, 2, 5), (3, 3, 1, 5), (4, 4, 2, 6)])
+def test_stacked_decode_matches_one_subset_at_a_time(point):
+    p = SchemeParams(*point)
+    rng = np.random.default_rng(21)
+    secrets = scheme.sample_secrets(p, rng)
+    stores = [scheme.MessageStore.random(p, rng) for _ in range(2)]
+    subsets = list(itertools.combinations(range(p.M), p.N))
+    tables = scheme.subset_tables(build_layout(p, 0), subsets)
+    for desired in range(p.K):
+        plan = scheme.build_queries(p, desired, secrets)
+        answers = [
+            scheme.Answer(m, np.stack(
+                [scheme.answer_query(m, plan.matrices[m], st).values for st in stores], axis=1
+            ))
+            for m in range(p.M)
+        ]
+        answered = np.stack([a.values for a in answers])[tables.responders]
+        stacked = scheme.Decoder(p, desired, secrets, plan.layout).decode_subsets(
+            tables, answered
+        )
+        want = np.stack([st.data[desired] for st in stores], axis=1)
+        assert stacked.shape == (len(subsets), p.L, len(stores))
+        for i, sub in enumerate(subsets):
+            one = scheme.Decoder(p, desired, secrets, plan.layout)
+            alone = one.decode([answers[m] for m in sub])
+            assert np.array_equal(stacked[i], want), (desired, sub)
+            assert np.array_equal(alone, want), (desired, sub)
+
+
+def test_stacked_decode_rejects_mismatched_answers():
+    p = SchemeParams(2, 3, 2, 5)
+    decoder, answers = _decoder_and_answers(p)
+    tables = scheme.subset_tables(decoder.layout, [(0, 1, 2), (1, 2, 3)])
+    answered = np.stack([a.values for a in answers])[:, :, None]
+    with pytest.raises(ValueError, match="do not match"):
+        decoder.decode_subsets(tables, answered[None])  # one subset, two tables
+    other = scheme.subset_tables(build_layout(SchemeParams(2, 3, 2, 4), 1), [(0, 1, 2)])
+    with pytest.raises(ValueError, match="do not match"):
+        decoder.decode_subsets(other, answered[None])
