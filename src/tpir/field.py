@@ -1,11 +1,13 @@
 """The prime field GF(q): the symbol alphabet for messages, codes and queries.
 
 Elements are represented canonically as integers in ``[0, q)``, held in numpy
-int64 arrays; arithmetic on them is array work in :mod:`tpir.linalg` and
-:mod:`tpir.mds`. Elements read from the wire stay in their unsigned wire dtype
-(``uint8`` to ``uint64``, by the width of q) until arithmetic widens them.
-This module chooses and checks the prime modulus, tests arrays for entries
-outside [0, q), and owns their fixed-width byte encoding.
+arrays; arithmetic on them is array work in :mod:`tpir.linalg` and
+:mod:`tpir.mds`. Query plans and elements read from the wire are held in the
+unsigned wire dtype of q's width (``element_dtype``: ``uint8`` to ``uint64``)
+until arithmetic widens them; secrets, messages, code tables and the results
+of arithmetic are int64. This module chooses and checks the prime modulus,
+tests arrays for entries outside [0, q), and owns their fixed-width byte
+encoding.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ __all__ = [
     "is_prime",
     "smallest_prime_geq",
     "element_width",
+    "element_dtype",
     "as_elements",
     "outside_field",
     "elements_to_bytes",
@@ -70,6 +73,14 @@ def element_width(q: int) -> int:
     raise ValueError(f"modulus {q} too large for 8-byte encoding")
 
 
+_WIRE_DTYPES = {w: np.dtype(f"<u{w}") for w in (1, 2, 4, 8)}
+
+
+def element_dtype(q: int) -> np.dtype:
+    """The unsigned little-endian wire dtype of q's width: ``<u1`` to ``<u8``."""
+    return _WIRE_DTYPES[element_width(q)]
+
+
 def as_elements(values) -> np.ndarray:
     """``values`` as an array: unsigned integer arrays as they are, anything else as int64.
 
@@ -93,9 +104,6 @@ def outside_field(values: np.ndarray, q: int) -> bool:
     return int(values.max()) >= q
 
 
-_WIRE_DTYPE = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
-
-
 def elements_to_bytes(values: np.ndarray, q: int) -> bytes:
     """Serialize field elements, in C order, as fixed-width little-endian unsigned ints.
 
@@ -105,7 +113,7 @@ def elements_to_bytes(values: np.ndarray, q: int) -> bytes:
     values = as_elements(values)
     if outside_field(values, q):
         raise ValueError("values outside [0, q)")
-    return values.astype(_WIRE_DTYPE[element_width(q)], copy=False).tobytes()
+    return values.astype(element_dtype(q), copy=False).tobytes()
 
 
 def elements_from_bytes(buf: bytes, q: int, count: int, offset: int = 0) -> np.ndarray:
@@ -119,7 +127,7 @@ def elements_from_bytes(buf: bytes, q: int, count: int, offset: int = 0) -> np.n
     w = element_width(q)
     if len(buf) - offset != count * w:
         raise ValueError(f"expected {count * w} bytes, got {len(buf) - offset}")
-    wire = np.frombuffer(buf, dtype=_WIRE_DTYPE[w], count=count, offset=offset)
+    wire = np.frombuffer(buf, dtype=element_dtype(q), count=count, offset=offset)
     if outside_field(wire, min(q, 2**63)):
         raise ValueError("encoded value outside [0, q)")
     return wire

@@ -11,8 +11,9 @@ FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008). Elimination is exact
 for q <= 2^31; larger moduli are rejected. ``mat_mul`` is exact for q < 2^63
 and reduces an operand only if an entry lies outside [0, q): callers pass
 residues, so a product pays one range test per operand, not a ``% q`` copy.
-An unsigned integer operand, such as a query matrix read from the wire, keeps
-its dtype until the product widens it, to float64 for BLAS or to int64.
+An unsigned integer operand, such as a query plan or a query read from the
+wire, keeps its dtype until the product widens it, to float64 for BLAS or to
+int64.
 
 Uniform elements of GL(n, q) are drawn through a unique factorisation, as a
 product of two random factors, with no elimination and no rejection of
@@ -77,7 +78,9 @@ def _product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     inner products fit in int64: with ``inner * (q-1)^2 < 2^53`` they run on
     float64 BLAS, where sums of integers below 2^53 are exact integers, so
     the cast back is exact; below 2^63 they run on int64. Otherwise they run
-    on Python integers and the result is reduced mod q.
+    on Python integers and the result is reduced mod q. On every path the
+    result is a fresh array, never a view of an operand, so callers may
+    reduce it in place.
     """
     worst = a.shape[-1] * (q - 1) ** 2
     if worst < 2**53:
@@ -110,7 +113,9 @@ def mat_mul(a, b, q: int) -> np.ndarray:
         a = a % q
     if outside_field(b, q):
         b = b % q
-    return _product(a, b, q) % q
+    out = _product(a, b, q)
+    out %= q
+    return out
 
 
 def _pivot_loop(a: np.ndarray, q: int, ncols: int, jordan: bool):
@@ -335,7 +340,9 @@ def sample_uniform_full_rank(
     c[np.broadcast_to(i[:r, None] > i[:r], c.shape)] = rng.integers(
         0, q, size=draws * n * (n - 1) // 2, dtype=np.int64
     ).reshape(draws, -1)[:, : r * (r - 1) // 2].reshape(-1)
-    return _product(c, v, q) % q  # both factors are residues: no range test
+    out = _product(c, v, q)  # both factors are residues: no range test
+    out %= q
+    return out
 
 
 def count_full_rank(n: int, q: int) -> int:

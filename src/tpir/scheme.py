@@ -1,7 +1,9 @@
 """Protocol core: secrets, query coefficient matrices, answering, decoding.
 
 Queries are materialized as explicit D x (K*L) coefficient matrices over the
-stacked message vector (W_0; ...; W_{K-1}), one per database. Which of those
+stacked message vector (W_0; ...; W_{K-1}), one per database, held in the
+field's unsigned wire dtype (``field.element_dtype``), so a plan takes the
+bytes its wire form takes and is encoded with no int64 copy. Which of those
 rows (and of the answer symbols) belong to which block, and which codeword
 coordinates each database holds, comes from the layout's row map only
 (``Block.rows``, ``Block.coords``, ``Block.aligned``). A block's codeword
@@ -27,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg, mds
-from .field import outside_field
+from .field import element_dtype, outside_field
 from .layout import BlockLayout, SchemeParams, build_layout, total_download
 
 __all__ = [
@@ -112,7 +114,8 @@ class QueryPlan:
 
     desired: int
     layout: BlockLayout
-    # one (..., D, K*L) matrix per database, with the secrets' stack axes
+    # one (..., D, K*L) matrix per database, with the secrets' stack axes, in
+    # the unsigned wire dtype of q's width (``field.element_dtype(q)``)
     matrices: tuple[np.ndarray, ...]
 
 
@@ -162,7 +165,8 @@ def build_queries(
     """Materialize the M coefficient matrices for retrieving ``desired``.
 
     Secrets with leading stack axes give matrices with the same leading axes,
-    one plan per secret set.
+    one plan per secret set. The matrices are in ``field.element_dtype(q)``:
+    every coefficient is a residue below q, so it fits its wire width exactly.
     """
     if layout is None or layout.desired != desired or layout.params != params:
         layout = build_layout(params, desired)
@@ -199,7 +203,9 @@ def build_queries(
     # M separate arrays, not views of one (M, D, K*L) array: at K=4, N=5, T=2,
     # M=7 one array (which numpy backs with transparent huge pages) raised
     # the peak resident memory of building four plans by about 15 MB.
-    matrices = [np.zeros(stack + (layout.per_db, K * L), dtype=np.int64) for _ in range(M)]
+    matrices = [
+        np.zeros(stack + (layout.per_db, K * L), dtype=element_dtype(q)) for _ in range(M)
+    ]
     for b in layout.blocks:
         if b.per_db_len == 0:
             continue

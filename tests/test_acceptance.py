@@ -187,10 +187,15 @@ def test_7_mds_property_everywhere():
                 for _ in range(min(chunk, 1000 - start))
             ]
             coords = np.stack([c for c, _ in draws])
-            probes = np.stack([p for _, p in draws])
+            probes = np.stack([p for _, p in draws])[..., 0]
             invs = mds.submatrix_inverse(spec, coords)
-            back = linalg.mat_mul(gen[coords], linalg.mat_mul(invs, probes, spec.q), spec.q)
-            bad = np.flatnonzero((back != probes).any(axis=(1, 2)))
+            # subset s's probe back through the generator: one product of the
+            # whole generator with every subset's column, then each subset's
+            # own rows of its own column, with no gathered gen[coords] stack
+            cols = linalg.mat_mul(invs, probes[..., None], spec.q)[..., 0]
+            full = linalg.mat_mul(gen, cols.T, spec.q)
+            back = full[coords, np.arange(len(draws))[:, None]]
+            bad = np.flatnonzero((back != probes).any(axis=1))
             assert bad.size == 0, (spec, coords[bad[0]][:5])
         sampled += 1
     elapsed = time.perf_counter() - t0

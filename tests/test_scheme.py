@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tpir import audit, layout, linalg, mds, scheme
+from tpir import audit, field, layout, linalg, mds, scheme, simnet
 from tpir.layout import SchemeParams, build_layout
 
 
@@ -211,7 +211,9 @@ def test_determinism_given_seed():
 
 
 def _digest(mats, *tail):
-    return hashlib.sha256(b"".join(m.tobytes() for m in (*mats, *tail))).hexdigest()[:16]
+    # hashed as int64, the dtype the plans were held in when these were pinned
+    data = b"".join(np.asarray(m).astype(np.int64).tobytes() for m in (*mats, *tail))
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def test_secrets_and_plans_reproduce_pinned_digests():
@@ -227,6 +229,30 @@ def test_secrets_and_plans_reproduce_pinned_digests():
     plan = scheme.build_queries(p, 2, scheme.sample_secrets(p, rng))
     audit.without_alignment(plan)
     assert _digest(plan.matrices) == "f22965dd886acffe"
+
+
+@pytest.mark.parametrize("count", [None, 3], ids=["unstacked", "stacked"])
+@pytest.mark.parametrize(
+    "K,N,T,M,q",
+    [(2, 2, 1, 2, 5), (2, 2, 1, 3, 251), (3, 2, 1, 3, 257), (2, 3, 2, 4, 877),
+     (2, 2, 1, 2, 65521), (2, 3, 1, 4, 65537), (3, 2, 1, 3, 2**31 - 1)],
+)
+def test_plans_are_held_in_the_wire_dtype(K, N, T, M, q, count, monkeypatch):
+    """Plans come out in the field's wire dtype, equal to the int64 construction
+    and with the same query bytes, at moduli of 1, 2 and 4 bytes."""
+    p = SchemeParams(K, N, T, M, q)
+    secrets = scheme.sample_secrets(p, np.random.default_rng(q), count)
+    plans = [scheme.build_queries(p, d, secrets) for d in range(K)]
+    monkeypatch.setattr(scheme, "element_dtype", lambda q: np.dtype(np.int64))
+    wide = [scheme.build_queries(p, d, secrets) for d in range(K)]
+    dtype = field.element_dtype(q)
+    assert dtype == np.dtype(f"<u{field.element_width(q)}")
+    for plan, ref in zip(plans, wide):
+        for got, want in zip(plan.matrices, ref.matrices):
+            assert got.dtype == dtype and want.dtype == np.int64
+            assert got.shape == want.shape and np.array_equal(got, want)
+            for g, w in zip(got.reshape(-1, *got.shape[-2:]), want.reshape(-1, *want.shape[-2:])):
+                assert simnet.encode_query(g, q, K, p.L) == simnet.encode_query(w, q, K, p.L)
 
 
 @pytest.mark.parametrize("break_alignment", [False, True], ids=["honest", "broken"])

@@ -165,9 +165,9 @@ def test_node_answers_wire_queries_as_int64_queries(point):
     store = scheme.MessageStore.random(p, rng)
     plan = scheme.build_queries(p, 1, scheme.sample_secrets(p, rng))
     for m in range(p.M):
-        query = plan.matrices[m]
-        assert query.dtype == np.int64
+        query = plan.matrices[m].astype(np.int64)
         qb = simnet.encode_query(query, p.q, p.K, p.L)
+        assert simnet.encode_query(plan.matrices[m], p.q, p.K, p.L) == qb
         wire, *_ = simnet.decode_query(qb)
         assert wire.dtype == np.dtype(f"u{element_width(p.q)}") and not wire.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
