@@ -1,19 +1,29 @@
 """Dense linear algebra over GF(q) on numpy int64 arrays.
 
 Matrices are plain ``numpy`` arrays with entries reduced mod q; the modulus is
-passed explicitly. Elimination is blocked: each panel of columns is pivoted by
-a small unblocked loop, and the rest of the matrix is updated by one exact
-integer product per panel, so the bulk of the work runs as BLAS matrix
-products. Reduction mod q is delayed: the trailing rows take the unreduced
-products and are reduced only when int64 would otherwise overflow, and only
-what pivoting reads is reduced on the way (the delayed reduction of
-FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008). Elimination is exact
-for q <= 2^31; larger moduli are rejected. ``mat_mul`` is exact for q < 2^63
-and reduces an operand only if an entry lies outside [0, q): callers pass
-residues, so a product pays one range test per operand, not a ``% q`` copy.
-An unsigned integer operand, such as a query plan or a query read from the
-wire, keeps its dtype until the product widens it, to float64 for BLAS or to
-int64.
+passed explicitly and is at most 2^31 everywhere (``check_modulus``).
+
+Every matrix product runs on float64 BLAS, where sums of products of
+integers are exact while they stay below 2^53. While ``inner * (q-1)^2`` is
+under that bound the operands are cast to float64 and multiplied once;
+above it each operand is split into 16-bit limbs, and the limb products,
+each exact, are reduced mod q and recombined (the error-free splitting of
+Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012). A product with a
+one-column right operand and a large left operand, such as a database's
+answer, casts the left operand one cache-sized panel at a time instead of
+copying it whole. ``mat_mul`` reduces an operand only if an entry lies
+outside [0, q): callers pass residues, so a product pays one range test per
+operand, not a ``% q`` copy. An unsigned integer operand, such as a query
+plan or a query read from the wire, keeps its dtype until the product casts
+it.
+
+Elimination is blocked: each panel of columns is pivoted by a small
+unblocked loop, and the rest of the matrix is updated by one exact product
+per panel, so the bulk of the work runs as BLAS matrix products. Reduction
+mod q is delayed: the trailing rows take the unreduced products and are
+reduced only when int64 would otherwise overflow, and only what pivoting
+reads is reduced on the way (the delayed reduction of FFLAS-FFPACK, Dumas,
+Giorgi and Pernet, ACM TOMS 2008).
 
 Uniform elements of GL(n, q) are drawn through a unique factorisation, as a
 product of two random factors, with no elimination and no rejection of
@@ -54,13 +64,15 @@ class SingularMatrixError(ValueError):
 
 
 def check_modulus(q: int) -> None:
-    """Raise ``ValueError`` for q > 2^31, where int64 elimination is not exact.
+    """Raise ``ValueError`` for q > 2^31, the one modulus rule of this module.
 
     Elimination multiplies two residues and adds a third in int64, which
-    needs (q-1)^2 < 2^62. ``mat_mul`` alone is exact for every q < 2^63.
+    needs (q-1)^2 < 2^62, and the limb products of ``mat_mul`` need residues
+    below 2^31, so that a residue's high 16-bit limb is below 2^15 and every
+    recombination step fits in int64.
     """
     if (q - 1) ** 2 >= 2**62:
-        raise ValueError(f"q={q} too large: exact int64 elimination needs q <= 2^31")
+        raise ValueError(f"q={q} too large: exact GF(q) arithmetic here needs q <= 2^31")
 
 
 def _as_array(a) -> np.ndarray:
@@ -70,42 +82,96 @@ def _as_array(a) -> np.ndarray:
     return arr
 
 
+# Left-operand entries cast to float64 at a time in a streamed one-column
+# product: a 512 KB panel, about one core's L2 cache. Much smaller panels
+# (2^12 entries) made a 203 x 2500 query's answer slower than one whole cast.
+_PANEL = 2**16
+
+# Inner length up to which a product of 16-bit limbs stays below 2^53.
+_LIMB_INNER = (2**53 - 1) // (2**16 - 1) ** 2
+
+
+def _float_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on float64 BLAS, as a fresh int64 array; neither operand is written.
+
+    Exact while every inner product of the entries stays below 2^53. A
+    product whose right operand has one column and whose left operand holds
+    more than ``_PANEL`` entries (and covers the whole broadcast stack) is
+    streamed: the left operand is cast one panel at a time, a group of whole
+    slices or a band of one slice's rows, into one reused float64 buffer, so
+    its float64 copy is never made. Every other product casts each operand
+    once: wider products keep one BLAS call, as split panels slowed them.
+    """
+    stack = a.shape[:-2]
+    if b.shape[-1] != 1 or a.size <= _PANEL or np.broadcast_shapes(stack, b.shape[:-2]) != stack:
+        product = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+        return product.astype(np.int64)
+    m, k = a.shape[-2:]
+    a = a.reshape((-1, m, k))
+    b = np.broadcast_to(b.astype(np.float64), stack + (k, 1)).reshape((-1, k, 1))
+    rows = min(m, max(1, _PANEL // k))  # of one slice, per panel
+    group = max(1, _PANEL // (rows * k))  # slices per panel; 1 unless rows == m
+    buf = np.empty((group, rows, k))
+    out = np.empty((len(a), m, 1))
+    for s in range(0, len(a), group):
+        for r in range(0, m, rows):
+            part = a[s : s + group, r : r + rows]
+            panel = buf[: len(part), : part.shape[1]]
+            panel[...] = part
+            np.matmul(panel, b[s : s + group], out=out[s : s + group, r : r + rows])
+    return out.reshape(stack + (m, 1)).astype(np.int64)
+
+
+def _limbs(x: np.ndarray, axis: int) -> np.ndarray:
+    """x's low 16-bit limbs, then its high ones, concatenated along ``axis`` as float64."""
+    return np.concatenate([x.astype(np.uint16), x >> 16], axis=axis, dtype=np.float64)
+
+
 def _product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """An int64 array congruent to a @ b mod q, for entries of a and b in [0, q).
+    """A fresh int64 array congruent to a @ b mod q, for entries of a and b in [0, q).
 
     Leading axes are stacks of matrices, broadcast as by ``@``. The operands
-    are int64 or unsigned integer arrays. Exact, and unreduced while the
-    inner products fit in int64: with ``inner * (q-1)^2 < 2^53`` they run on
-    float64 BLAS, where sums of integers below 2^53 are exact integers, so
-    the cast back is exact; below 2^63 they run on int64. Otherwise they run
-    on Python integers and the result is reduced mod q. On every path the
-    result is a fresh array, never a view of an operand, so callers may
-    reduce it in place.
+    are int64 or unsigned integer arrays, are never written and are not
+    widened before the product, and q is at most 2^31. While
+    ``inner * (q-1)^2 < 2^53`` one float64 product is exact and its result
+    is returned unreduced; a one-column product streams (``_float_product``).
+    Otherwise a = a_hi * 2^16 + a_lo and b likewise, with limbs below 2^16,
+    so a @ b = hh * 2^32 + (hl + lh) * 2^16 + ll: the four limb products run
+    as one float64 product of [a_lo; a_hi] and [b_lo | b_hi], over chunks of
+    at most ``_LIMB_INNER`` inner terms so that each stays exact (below
+    2^53). hh and hl + lh are reduced mod q in int64 and recombined with
+    2^32 and 2^16 mod q; with residues below 2^31 no step leaves int64.
+    That result is reduced.
     """
-    worst = a.shape[-1] * (q - 1) ** 2
-    if worst < 2**53:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    # numpy promotes uint64 @ int64 to float64, so both become int64 (exact
-    # for residues of q < 2^63) before the integer products.
-    a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
-    if worst < 2**63:
-        return a @ b
-    return np.array((a.astype(object) @ b.astype(object)) % q, dtype=np.int64)
+    if a.shape[-1] * (q - 1) ** 2 < 2**53:
+        return _float_product(a, b)
+    m, n = a.shape[-2], b.shape[-1]
+    r16, r32 = 2**16 % q, 2**32 % q
+    out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n), dtype=np.int64)
+    for c in range(0, a.shape[-1], _LIMB_INNER):
+        cut = slice(c, c + _LIMB_INNER)
+        limbs = _float_product(_limbs(a[..., cut], -2), _limbs(b[..., cut, :], -1))
+        lo, hi = limbs[..., :m, :], limbs[..., m:, :]
+        # below 2^31 * 2^31 + 2^31 * 2^16 + 2^53 < 2^63
+        part = hi[..., n:] % q * r32 + (lo[..., n:] + hi[..., :n]) % q * r16 + lo[..., :n]
+        out += part % q
+    out %= q
+    return out
 
 
 def mat_mul(a, b, q: int) -> np.ndarray:
-    """Matrix product over GF(q), exact for q < 2^63; a larger q raises ``ValueError``.
+    """Matrix product over GF(q), exact for every q <= 2^31; a larger q raises ``ValueError``.
 
     Neither operand is written to; each is reduced, into a copy, only if an
     entry lies outside [0, q). An unsigned integer operand is used in its
     own dtype, with no int64 copy; any other is read as int64. The result is
-    int64 whatever the operand dtypes. Uses float64 BLAS when the unreduced
-    inner products provably fit in the 53-bit mantissa, int64 when they fit
-    in 63 bits, and Python integers otherwise. Either operand may be a stack
-    of matrices along leading axes; stacks broadcast as they do for ``@``.
+    a fresh int64 array whatever the operand dtypes. The product runs on
+    float64 BLAS, in one piece or in 16-bit limbs (see ``_product``); with a
+    one-column right operand a large left operand is cast one panel at a
+    time. Either operand may be a stack of matrices along leading axes;
+    stacks broadcast as they do for ``@``.
     """
-    if q >= 2**63:
-        raise ValueError(f"q={q} too large: int64 matrix products need q < 2^63")
+    check_modulus(q)
     a, b = as_elements(a), as_elements(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")

@@ -405,6 +405,16 @@ def test_run_audit_assembles_report():
     assert all(isinstance(line, str) for line in report.lines())
 
 
+@pytest.mark.parametrize("broken", [False, True])
+def test_run_audit_at_the_benchmark_session_point(broken):
+    # L = 625, where the streamed one-column products run
+    report = audit.run_audit(SchemeParams(4, 5, 2, 7), trials=2, seed=3, break_alignment=broken)
+    assert report.passed, report.lines()
+    names = [c.name for c in report.checks]
+    structural = "structural_privacy_detects_broken" if broken else "structural_privacy"
+    assert structural in names and "correctness_sweep" in names
+
+
 def test_run_audit_fault_injection_guard():
     with pytest.raises(ValueError, match="K > 1 and T < N"):
         audit.run_audit(SchemeParams(1, 2, 1, 2), seed=0, break_alignment=True)

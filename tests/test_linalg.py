@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,22 +59,9 @@ def test_rank_invariant_under_row_permutation(mq, seed):
     assert linalg.rank(a, q) == linalg.rank(a[perm], q)
 
 
-def test_mat_mul_matches_python_bigint():
-    # exercise the large-q object-dtype path against exact Python ints
-    q = (1 << 62) - 57  # prime-ish size irrelevant; only reduction matters
-    rng = np.random.default_rng(0)
-    a = rng.integers(0, q, size=(4, 5)).astype(object)
-    b = rng.integers(0, q, size=(5, 3)).astype(object)
-    got = linalg.mat_mul(a, b, q)
-    want = [[sum(int(a[i, k]) * int(b[k, j]) for k in range(5)) % q
-             for j in range(3)] for i in range(4)]
-    assert [[int(x) for x in row] for row in got.tolist()] == want
-
-
-# One modulus per exact path of mat_mul's product at small inner dimension:
-# float64 (2, 877, 65537), int64 (2^31 - 1 with inner 1) and Python ints
-# (2^31 - 1 with inner >= 2, and 2^61 - 1).
-MAT_MUL_QS = [2, 877, 65537, 2**31 - 1, 2**61 - 1]
+# One modulus per product path of mat_mul at small inner dimension: one
+# float64 product (2, 877, 65537) and 16-bit limbs (2^31 - 1).
+MAT_MUL_QS = [2, 877, 65537, 2**31 - 1]
 _OPERAND_KINDS = ("residue", "negative", "unreduced", "mixed")
 
 
@@ -108,8 +96,9 @@ def test_mat_mul_reduces_any_int64_operands_without_writing_them(abq):
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
-# (q, inner dimension) per exact path of mat_mul's product: float64 BLAS,
-# int64 (inner * (q-1)^2 between 2^53 and 2^63) and Python ints.
+# (q, inner dimension), keyed by the range of inner * (q-1)^2: below 2^53,
+# where one float64 product is exact; below 2^63 only, where the product
+# runs on 16-bit limbs; and beyond int64, where q > 2^31 and mat_mul raises.
 _UNSIGNED_PATHS = {"float64": (877, 7), "int64": (134217689, 300), "object": (2**63 - 25, 4)}
 
 
@@ -117,8 +106,6 @@ _UNSIGNED_PATHS = {"float64": (877, 7), "int64": (134217689, 300), "object": (2*
 @pytest.mark.parametrize("path", _UNSIGNED_PATHS)
 def test_mat_mul_takes_unsigned_operands_as_their_int64_residues(path, dtype):
     q, inner = _UNSIGNED_PATHS[path]
-    worst = inner * (q - 1) ** 2
-    assert path == ("float64" if worst < 2**53 else "int64" if worst < 2**63 else "object")
     top = int(np.iinfo(dtype).max)
     rng = np.random.default_rng([inner, np.dtype(dtype).itemsize])
     a = rng.integers(0, top, size=(3, inner), dtype=dtype, endpoint=True)
@@ -126,6 +113,10 @@ def test_mat_mul_takes_unsigned_operands_as_their_int64_residues(path, dtype):
     a[0, :3] = top, min(q, top), min(2**63, top)
     b = rng.integers(0, q, size=(inner, 2))
     a0 = a.copy()
+    if q > 2**31:
+        with pytest.raises(ValueError, match=str(q)):
+            linalg.mat_mul(a, b, q)
+        return
     # int64 operands congruent to a, reduced with Python integers
     a64 = np.array([[x % q for x in row] for row in a.tolist()], dtype=np.int64)
     products = [
@@ -140,7 +131,7 @@ def test_mat_mul_takes_unsigned_operands_as_their_int64_residues(path, dtype):
     assert np.array_equal(a, a0)
 
 
-@pytest.mark.parametrize("q", MAT_MUL_QS)
+@pytest.mark.parametrize("q", MAT_MUL_QS + [2**61 - 1])
 @pytest.mark.parametrize(
     "a_shape,b_shape",
     [((3, 4, 5), (5, 2)), ((4, 5), (3, 5, 2)), ((3, 4, 5), (3, 5, 2)), ((2, 1, 4, 5), (3, 5, 2))],
@@ -149,6 +140,10 @@ def test_stacked_mat_mul_matches_per_slice_products(q, a_shape, b_shape):
     rng = np.random.default_rng(q % 1000)
     a = rng.integers(-(2**62), 2**62, size=a_shape)
     b = rng.integers(-(2**62), 2**62, size=b_shape)
+    if q > 2**31:  # a stack is rejected as a single matrix is
+        with pytest.raises(ValueError, match=str(q)):
+            linalg.mat_mul(a, b, q)
+        return
     got = linalg.mat_mul(a, b, q)
     stack = np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
     assert got.dtype == np.int64 and got.shape == stack + (a_shape[-2], b_shape[-1])
@@ -156,6 +151,117 @@ def test_stacked_mat_mul_matches_per_slice_products(q, a_shape, b_shape):
     b_all = np.broadcast_to(b, stack + b_shape[-2:])
     for at in np.ndindex(*stack):
         assert np.array_equal(got[at], linalg.mat_mul(a_all[at], b_all[at], q))
+
+
+def _python_product(a, b, q):
+    """(a @ b) mod q with Python integers, for 2-d operands: the test oracle."""
+    return [[sum(int(x) * int(y) for x, y in zip(row, col)) % q for col in b.T] for row in a]
+
+
+def _fresh_product(a, b, q):
+    """mat_mul(a, b, q), checked to leave its operands as they were and to return a new int64 array."""
+    a0, b0 = a.copy(), b.copy()
+    got = linalg.mat_mul(a, b, q)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+    assert got.dtype == np.int64 and got.flags.owndata and got.flags.writeable
+    assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
+    return got
+
+
+# (m, k): one panel or less (up to 2^16 entries), more than one panel with m
+# not a multiple of the panel height (26 rows at k = 2500), one row per panel
+# (k > 2^16), and empty operands.
+ONE_COLUMN_SHAPES = [(1, 5), (60, 1000), (203, 2500), (3, 70001), (0, 7), (9, 0)]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64, np.int64])
+@pytest.mark.parametrize("m,k", ONE_COLUMN_SHAPES)
+def test_one_column_products_match_python_integers(m, k, dtype):
+    q = 251  # every residue fits each dtype
+    rng = np.random.default_rng([m, k, np.dtype(dtype).itemsize])
+    a = rng.integers(0, q, size=(m, k)).astype(dtype)
+    b = rng.integers(0, q, size=(k, 1))
+    want = _python_product(a, b, q)
+    assert _fresh_product(a, b, q).tolist() == want
+    # non-contiguous: every other column of a wider operand
+    wide = np.zeros((m, 2 * k), dtype=dtype)
+    wide[:, ::2] = a
+    assert _fresh_product(wide[:, ::2], b, q).tolist() == want
+    # read-only, as a query read from the wire
+    wire = field.elements_from_bytes(field.elements_to_bytes(a, q), q, a.size).reshape(m, k)
+    assert not wire.flags.writeable
+    assert _fresh_product(wire, b, q).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "a_shape,b_shape",
+    [
+        ((40, 30, 90), (40, 90, 1)),  # slices below one panel: grouped
+        ((40, 30, 90), (90, 1)),
+        ((3, 300, 300), (3, 300, 1)),  # slices above one panel: row bands
+        ((3, 300, 300), (1, 300, 1)),
+        ((2, 3, 70, 400), (3, 400, 1)),
+    ],
+)
+@pytest.mark.parametrize("dtype", [np.uint16, np.int64])
+def test_stacked_one_column_products_match_python_integers(a_shape, b_shape, dtype):
+    q = 877
+    rng = np.random.default_rng(list(a_shape + b_shape))
+    a = rng.integers(0, q, size=a_shape).astype(dtype)
+    b = rng.integers(0, q, size=b_shape)
+    got = _fresh_product(a, b, q)
+    stack = np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
+    assert got.shape == stack + (a_shape[-2], 1)
+    b_all = np.broadcast_to(b, stack + b_shape[-2:])
+    for at in np.ndindex(*stack):
+        assert got[at].tolist() == _python_product(a[at], b_all[at], q)
+
+
+@pytest.mark.parametrize(
+    "a_shape,b_shape", [((203, 2500), (2500, 1)), ((4, 300, 300), (4, 300, 1))]
+)
+def test_one_column_product_holds_no_float64_copy_of_its_left_operand(a_shape, b_shape):
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, 877, size=a_shape).astype(np.uint16)
+    b = rng.integers(0, 877, size=b_shape)
+    tracemalloc.start()
+    try:
+        linalg.mat_mul(a, b, 877)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < a.size * 8 // 2
+
+
+# Between 2^16 and 2^31: a prime near 2^20, where the single float64 product
+# covers up to 8192 inner terms, and the largest q allowed.
+LIMB_QS = [1048573, 2**31 - 1]
+
+
+@pytest.mark.parametrize("q", LIMB_QS)
+def test_limb_products_of_worst_case_entries(q):
+    edge = (2**53 - 1) // (q - 1) ** 2  # the longest inner axis of one float64 product
+    for inner in (edge, edge + 1, edge + 300):
+        a = np.full((3, inner), q - 1)
+        b = np.full((inner, 2), q - 1)
+        # (q-1)^2 = 1 mod q
+        assert _fresh_product(a, b, q).tolist() == [[inner % q] * 2] * 3
+        # random entries, a stacked left operand and a one-column right one
+        rng = np.random.default_rng([q, inner])
+        a = rng.integers(0, q, size=(2, 3, inner))
+        b = rng.integers(0, q, size=(inner, 1))
+        got = _fresh_product(a, b, q)
+        assert [got[i].tolist() for i in range(2)] == [_python_product(x, b, q) for x in a]
+
+
+@pytest.mark.parametrize("q", LIMB_QS)
+def test_limb_products_across_the_inner_chunk_bound(q):
+    # 2^21 + 65 terms: more than one chunk of exact 16-bit limb products
+    n = linalg._LIMB_INNER + 1
+    for value in (q - 1, 2**16 - 1):  # the largest residue, and the largest low limb
+        a = np.full((1, n), value)
+        got = _fresh_product(a, a.T, q)
+        assert got.tolist() == [[n * value * value % q]]
 
 
 def test_mat_mul_rejects_mismatched_stacks():
@@ -214,8 +320,9 @@ def test_sampler_huge_dimension_smoke():
     assert linalg.rank(m, 65537) == 64
 
 
-# One prime per exact path of mat_mul in the blocked trailing update (inner
-# dimension at most 64): float64 BLAS, int64, and Python objects.
+# One prime per range of the blocked trailing update's 64-term inner
+# products: within float64's 53-bit mantissa (one float64 product), within
+# int64, and beyond it (both on 16-bit limbs).
 FLOAT_Q, INT64_Q, OBJECT_Q = 877, 268435399, 1073741827
 
 
@@ -429,10 +536,11 @@ def _reference_eliminate(a, q, ncols, jordan):
     return r, pivots
 
 
-# The largest prime whose 64-term products stay on int64: at n = 448 (seven
-# panels) the unreduced updates overflow int64 unless the bound forces a
-# reduction. At n = 200 (four panels) every product path runs, and on int64
-# the bound forces reductions.
+# The largest prime whose 64-term products fit in int64: at n = 448 (seven
+# panels) the updates, bounded by 64 * (q-1)^2 each, would overflow int64
+# unless the bound forces a reduction. At n = 200 (four panels) every range
+# of inner products runs, and for the two larger primes the bound forces
+# reductions.
 INT64_EDGE_Q = 379625047
 
 
@@ -469,12 +577,9 @@ def test_invert_rank_solve_match_reference(q):
 def test_elimination_rejects_modulus_above_2_31():
     q = 2**61 - 1  # prime; a product of two residues overflows int64
     a = np.random.default_rng(0).integers(0, q, size=(3, 3))
-    for call in (linalg.invert, linalg.rank):
+    for call in (linalg.invert, linalg.rank, lambda a, q: linalg.mat_mul(a, a, q)):
         with pytest.raises(ValueError, match=str(q)):
             call(a, q)
-    # mat_mul alone stays exact for any q < 2^63
-    want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % q for col in a.T] for row in a]
-    assert linalg.mat_mul(a, a, q).tolist() == want
 
 
 @given(square_matrix())

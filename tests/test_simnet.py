@@ -68,6 +68,16 @@ def test_transcript_replay(session_setup):
     assert np.array_equal(replayed, out["decoded"])
 
 
+def test_session_at_the_largest_modulus_decodes():
+    # every product of this session runs on 16-bit limbs
+    p = SchemeParams(3, 5, 2, 6, q=2**31 - 1)
+    rng = np.random.default_rng(5)
+    store = scheme.MessageStore.random(p, rng)
+    out = simnet.run_session(p, 2, store, drop_set={1}, rng=rng)
+    assert np.array_equal(out["decoded"], store.data[2])
+    assert np.array_equal(simnet.replay_transcript(out["session"]), out["decoded"])
+
+
 # SHA-256 prefixes of a seeded session's query bytes and answer bytes (in
 # database order), its decoded message and the generator's next draw,
 # recorded when sessions drew every secret in full: drawing only the rows a
