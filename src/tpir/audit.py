@@ -44,6 +44,16 @@ __all__ = [
     "run_audit",
 ]
 
+# Bounds that keep one pass of each check small: the collusion subsets the
+# structural check and the responder subsets the correctness sweep visit
+# (above these, that many are drawn from the caller's generator), the
+# empirical check's chi-square buckets, and the capacity shape grid's K and N.
+_STRUCTURAL_SUBSETS = 500
+_SWEEP_SUBSETS = 200
+_MAX_BUCKETS = 200
+_SHAPE_MAX_K = 12
+_SHAPE_MAX_N = 6
+
 
 @dataclass
 class CheckResult:
@@ -107,7 +117,6 @@ def structural_privacy_check(
     params: SchemeParams,
     desired: int,
     plan: scheme.QueryPlan | None = None,
-    max_subsets: int = 500,
     rng: np.random.Generator | None = None,
 ) -> CheckResult:
     """Per collusion subset: variable counts and code-submatrix invertibility.
@@ -120,8 +129,8 @@ def structural_privacy_check(
     supplied its row-support pattern is also validated against the layout;
     its desired index and parameters must be ``desired`` and ``params``, and
     each of its matrices must be one 2-d (D, K*L) query, not a stack. When
-    there are more T-subsets than ``max_subsets``, that many are drawn from
-    ``rng``, which is then required.
+    there are more T-subsets than ``_STRUCTURAL_SUBSETS`` (500), that many
+    are drawn from ``rng``, which is then required.
     """
     p = params
     name = "structural_privacy"
@@ -147,36 +156,21 @@ def structural_privacy_check(
         if bad is not None:
             return CheckResult(name, False, {"alignment_violation": bad})
 
-    pair_blocks = [
-        b for b in layout.blocks if not b.contains_desired and b.alpha > 0
-    ]
-    subsets = _t_subsets(p.M, p.T, max_subsets, rng)
-    # info coordinates in b, then parity coordinates in the aligned block
-    coords = {
-        b.subset: [
-            np.concatenate(
-                [b.coords(tsub), b.block_len + layout.by_subset[b.aligned].coords(tsub)]
-            )
-            for tsub in subsets
-        ]
-        for b in pair_blocks
-    }
-    nodes = [layout.desired_coords(tsub) for tsub in subsets]
-    specs = {b.subset: mds.MdsSpec(b.code_len, b.alpha, q) for b in pair_blocks}
-    gens = {sub: mds.generator(spec) for sub, spec in specs.items()}
-    gen_d = mds.generator(mds.MdsSpec(layout.desired_code_len, p.L, q))
-    # one stacked inverse per code, over the T-subsets whose counts match it;
-    # the desired check inverts the leading square Vandermonde on the nodes
-    inverses = {sub: _stacked_inverses(spec, coords[sub]) for sub, spec in specs.items()}
+    pair_blocks = [b for b in layout.blocks if b.code is not None]
+    subsets = _t_subsets(p.M, p.T, _STRUCTURAL_SUBSETS, rng)
+    # one row per T-subset: the codeword coordinates it holds of each pair
+    # code, and of the desired code
+    coords = {b.subset: layout.codeword_coords(b, subsets) for b in pair_blocks}
+    nodes = layout.desired_coords(subsets)
+    gen_d = mds.generator(layout.desired_code)
+    # one stacked inverse per code, when the T-subsets' counts match it; the
+    # desired check inverts the leading square Vandermonde on the nodes
+    inverses = {b.subset: _stacked_inverses(b.code, coords[b.subset]) for b in pair_blocks}
     desired_inv = _stacked_inverses(
         mds.MdsSpec(layout.desired_code_len, expected_per_msg, q), nodes
     )
-    eye_cache: dict[int, np.ndarray] = {}
-
-    def eye(n):
-        if n not in eye_cache:
-            eye_cache[n] = np.eye(n, dtype=np.int64)
-        return eye_cache[n]
+    sizes = {expected_per_msg, *(b.alpha for b in pair_blocks)}
+    eye = {n: np.eye(n, dtype=np.int64) for n in sizes}
 
     for i, tsub in enumerate(subsets):
         per_msg = {k: 0 for k in range(p.K)}
@@ -190,7 +184,7 @@ def structural_privacy_check(
                      "expected": b.alpha},
                 )
             if not np.array_equal(
-                linalg.mat_mul(inverses[b.subset][i], gens[b.subset][c], q), eye(b.alpha)
+                linalg.mat_mul(inverses[b.subset][i], mds.generator(b.code)[c], q), eye[b.alpha]
             ):
                 return CheckResult(
                     name, False, {"subset": tsub, "block": b.subset,
@@ -208,7 +202,7 @@ def structural_privacy_check(
         # full row rank: the leading square Vandermonde on these nodes
         r = nodes[i].size
         if not np.array_equal(
-            linalg.mat_mul(desired_inv[i], gen_d[nodes[i]][:, :r], q), eye(r)
+            linalg.mat_mul(desired_inv[i], gen_d[nodes[i]][:, :r], q), eye[r]
         ):
             return CheckResult(
                 name, False, {"subset": tsub, "reason": "desired code rows rank-deficient"}
@@ -219,12 +213,9 @@ def structural_privacy_check(
     )
 
 
-def _stacked_inverses(spec: mds.MdsSpec, coord_sets) -> dict[int, np.ndarray]:
-    """Index -> submatrix inverse, in one call for every set of exactly k coordinates."""
-    keep = [i for i, c in enumerate(coord_sets) if c.size == spec.k]
-    if not keep:
-        return {}
-    return dict(zip(keep, mds.submatrix_inverse(spec, np.stack([coord_sets[i] for i in keep]))))
+def _stacked_inverses(spec: mds.MdsSpec, coord_sets: np.ndarray) -> np.ndarray | None:
+    """Each row's submatrix inverse, in one call; None unless rows hold exactly k coordinates."""
+    return mds.submatrix_inverse(spec, coord_sets) if coord_sets.shape[-1] == spec.k else None
 
 
 def _plan_support_mismatch(plan: scheme.QueryPlan):
@@ -255,13 +246,12 @@ def _plan_alignment_mismatch(plan: scheme.QueryPlan):
     p = layout.params
     L, q = p.L, p.q
     for b in layout.blocks:
-        if b.contains_desired or b.alpha == 0:
+        if b.code is None:
             continue
         # info chunks in b, then parity chunks in the aligned block, by database
         parity = layout.by_subset[b.aligned]
-        spec = mds.MdsSpec(b.code_len, b.alpha, q)
-        gen = mds.generator(spec)
-        head_inv = mds.submatrix_inverse(spec, np.arange(b.alpha))
+        gen = mds.generator(b.code)
+        head_inv = mds.submatrix_inverse(b.code, np.arange(b.alpha))
         for k in b.subset:
             cw = np.concatenate(
                 [qm[blk.rows, k * L : (k + 1) * L] for blk in (b, parity) for qm in plan.matrices]
@@ -324,7 +314,6 @@ def empirical_privacy_check(
     rng: np.random.Generator,
     break_alignment: bool = False,
     significance: float = 0.001,
-    max_buckets: int = 200,
 ) -> CheckResult:
     """Chi-square comparison of query distributions across desired indices.
 
@@ -381,15 +370,15 @@ def empirical_privacy_check(
         value_counters.append(vcounts)
         mask_counters.append(mcounts)
 
-    if len(set().union(*value_counters)) <= max_buckets:
+    if len(set().union(*value_counters)) <= _MAX_BUCKETS:
         counters, bucketing = value_counters, "value"
     else:
         counters, bucketing = mask_counters, "support_mask"
     support = sorted(set().union(*counters))
-    if len(support) > max_buckets:
+    if len(support) > _MAX_BUCKETS:
         def bucket_of(key: bytes) -> int:
-            return int.from_bytes(key, "little") % max_buckets
-        nbuckets = max_buckets
+            return int.from_bytes(key, "little") % _MAX_BUCKETS
+        nbuckets = _MAX_BUCKETS
     else:
         index = {k: i for i, k in enumerate(support)}
         def bucket_of(key: bytes) -> int:
@@ -499,18 +488,21 @@ def correctness_sweep(
     trials: int = 10,
     *,
     rng: np.random.Generator,
-    max_subsets: int = 200,
 ) -> CheckResult:
     """Brute-force execution: decode must return the desired message exactly,
-    for every desired index and every (capped) N-subset of responders.
+    for every desired index and every N-subset of responders (at most
+    ``_SWEEP_SUBSETS``, 200, drawn from ``rng`` when there are more).
 
     The subsets' tables are computed once, and each desired index decodes
     every subset and store in one stacked pass. A failure names the first
-    wrong desired index, then subset, then store."""
+    wrong desired index, then subset, then store. ``trials`` < 1 raises
+    ``ValueError`` before anything is drawn."""
     p = params
     name = "correctness_sweep"
+    if trials < 1:
+        raise ValueError(f"trials={trials}; the sweep needs at least one store to decode")
     secrets = scheme.sample_secrets(p, rng)
-    subsets = _t_subsets(p.M, p.N, max_subsets, rng)
+    subsets = _t_subsets(p.M, p.N, _SWEEP_SUBSETS, rng)
     stores = [scheme.MessageStore.random(p, rng) for _ in range(trials)]
     # columns are independent stores; one decode per subset covers all trials
     stacked = np.stack([s.stacked for s in stores], axis=1)
@@ -550,12 +542,12 @@ def rate_vs_capacity_grid(grid) -> list[dict]:
     return rows
 
 
-def capacity_shape_check(max_K: int = 12, max_N: int = 6) -> CheckResult:
+def capacity_shape_check() -> CheckResult:
     """Capacity is decreasing in T and K, increasing in N, with limit 1 - T/N."""
     name = "capacity_shape"
-    for N in range(2, max_N + 1):
+    for N in range(2, _SHAPE_MAX_N + 1):
         for T in range(1, N + 1):
-            for K in range(1, max_K):
+            for K in range(1, _SHAPE_MAX_K):
                 if capacity(K + 1, N, T) >= capacity(K, N, T):
                     return CheckResult(name, False, {"axis": "K", "K": K, "N": N, "T": T})
             if T < N and capacity(3, N, T + 1) >= capacity(3, N, T):
@@ -565,13 +557,13 @@ def capacity_shape_check(max_K: int = 12, max_N: int = 6) -> CheckResult:
                 if capacity(3, N, T) <= capacity(3, N - 1, T):
                     return CheckResult(name, False, {"axis": "N", "N": N, "T": T})
     # gap to the K -> infinity limit shrinks monotonically to 0
-    for N in range(2, max_N + 1):
+    for N in range(2, _SHAPE_MAX_N + 1):
         for T in range(1, N):
             limit = Fraction(N - T, N)
-            gaps = [capacity(K, N, T) - limit for K in range(1, max_K + 1)]
+            gaps = [capacity(K, N, T) - limit for K in range(1, _SHAPE_MAX_K + 1)]
             if any(g2 >= g1 for g1, g2 in zip(gaps, gaps[1:])) or gaps[-1] < 0:
                 return CheckResult(name, False, {"axis": "limit", "N": N, "T": T})
-    return CheckResult(name, True, {"max_K": max_K, "max_N": max_N})
+    return CheckResult(name, True, {"max_K": _SHAPE_MAX_K, "max_N": _SHAPE_MAX_N})
 
 
 def run_audit(
@@ -602,14 +594,12 @@ def run_audit(
     secrets = scheme.sample_secrets(p, rng)
     plan = scheme.build_queries(p, 0, secrets)
     if break_alignment:
-        # the broken variant must be caught by the structural check
         without_alignment(plan)
-        res = structural_privacy_check(p, 0, plan, rng=rng)
-        res = CheckResult("structural_privacy_detects_broken", not res.passed,
-                          res.details)
-        checks.append(res)
-    else:
-        checks.append(structural_privacy_check(p, 0, plan, rng=rng))
+    res = structural_privacy_check(p, 0, plan, rng=rng)
+    if break_alignment:
+        # the broken variant must be caught by the structural check
+        res = CheckResult("structural_privacy_detects_broken", not res.passed, res.details)
+    checks.append(res)
     checks.append(correctness_sweep(p, trials=trials, rng=rng))
 
     if empirical_samples:

@@ -117,12 +117,11 @@ def _emit(rows: list[dict], fmt: str, headers: list[str] | None = None):
 
 def cmd_capacity(args) -> int:
     cap = audit.capacity(args.K, args.N, args.T)
-    cost = 1 / cap
     _emit(
         [{
             "K": args.K, "N": args.N, "T": args.T,
             "capacity": str(cap), "capacity_decimal": f"{float(cap):.6f}",
-            "download_cost_per_bit": str(cost),
+            "download_cost_per_bit": str(audit.download_cost(args.K, args.N, args.T)),
         }],
         args.format,
     )

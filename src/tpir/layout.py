@@ -6,14 +6,15 @@ enumerated canonically (by size, then lexicographically) and each block's
 coordinates are split into contiguous per-database chunks in database order.
 Message indices and database ids are 0-based throughout.
 
-This module is the only place that knows the row map. A database's D query
-rows (and answer symbols) are its chunks of every block, concatenated in
-canonical order: ``Block.rows`` is one block's slice of them and
-``Block.coords(dbs)`` the block-vector coordinates that databases ``dbs``
-hold. A block containing the desired index carries a slice of the desired
-codeword, from ``desired_offset``. Any other block B carries the information
-coordinates of its own MDS code, whose parity rides in block B + {desired}
-(interference alignment); ``aligned`` links the two blocks both ways.
+This module is the only place that knows the row map and the code map. Row
+map: a database's D query rows (and answer symbols) are its chunks of every
+block, concatenated in canonical order; ``Block.rows`` is one block's slice
+of them and ``Block.coords(dbs)`` the block-vector coordinates that
+databases ``dbs`` hold. Code map: a block containing the desired index
+carries a slice of the ``desired_code`` codeword, from ``desired_offset``.
+Any other block B carries the information coordinates of its own MDS code,
+``Block.code``, whose parity rides in block B + {desired} (interference
+alignment); ``aligned`` links the two blocks both ways.
 
 With K messages, N required responders, T colluding databases and M >= N
 total databases, a size-j block has alpha = N * (N-T)^(j-1) * T^(K-j) "core"
@@ -32,6 +33,7 @@ import numpy as np
 
 from .field import is_prime, smallest_prime_geq
 from .linalg import check_modulus
+from .mds import MdsSpec
 
 __all__ = [
     "SchemeParams",
@@ -119,15 +121,12 @@ class Block:
     # the block carrying the same pair code: B + {desired} for a pair block B,
     # B for that block, None for {desired}
     aligned: tuple[int, ...] | None = None
-    # pair blocks (desired not in subset): MDS code length and secret rows
-    code_len: int | None = None  # (M/T) * alpha
+    # pair blocks (desired not in subset): their ((M/T) * alpha, alpha) MDS
+    # code, None when alpha == 0, and secret rows
+    code: MdsSpec | None = None
     secret_rows: dict[int, tuple[int, int]] = field(default_factory=dict)
     # blocks containing the desired index: offset into the desired codeword
     desired_offset: int | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.subset)
 
     @property
     def rows(self) -> slice:
@@ -144,8 +143,15 @@ class Block:
         return held.reshape(dbs.shape[:-1] + (-1,))
 
     @property
+    def code_len(self) -> int | None:
+        """(M/T) * alpha for a pair block, None for a block holding the desired index."""
+        if self.contains_desired:
+            return None
+        return self.code.n if self.code is not None else 0
+
+    @property
     def parity_len(self) -> int:
-        return self.code_len - self.block_len if self.code_len is not None else 0
+        return self.code.n - self.block_len if self.code is not None else 0
 
 
 @dataclass(frozen=True)
@@ -180,6 +186,21 @@ class BlockLayout:
         """Length of the desired-message codeword, (M/N) * N^K."""
         p = self.params
         return p.M * p.N ** (p.K - 1)
+
+    @cached_property
+    def desired_code(self) -> MdsSpec:
+        """The ((M/N) * N^K, N^K) code of the desired message."""
+        return MdsSpec(self.desired_code_len, self.params.L, self.params.q)
+
+    def codeword_coords(self, b: Block, dbs) -> np.ndarray:
+        """Coordinates of pair block ``b``'s codeword held by databases ``dbs``.
+
+        The information coordinates in ``b``, then the parity coordinates in
+        its aligned block, offset by ``b.block_len``. Stacked as for
+        ``Block.coords``.
+        """
+        parity = self.by_subset[b.aligned].coords(dbs)
+        return np.concatenate([b.coords(dbs), b.block_len + parity], axis=-1)
 
     def dump_text(self) -> str:
         p = self.params
@@ -238,11 +259,6 @@ def build_layout(params: SchemeParams, desired: int) -> BlockLayout:
             )
             desired_cursor += block_len
         else:
-            code_len = M * alpha // T if alpha else 0
-            if code_len > params.q:
-                raise ValueError(
-                    f"q={params.q} too small for block {subset}: code length {code_len}"
-                )
             rows = {}
             for k in subset:
                 rows[k] = (secret_cursor[k], secret_cursor[k] + alpha)
@@ -252,7 +268,7 @@ def build_layout(params: SchemeParams, desired: int) -> BlockLayout:
                     **shape,
                     contains_desired=False,
                     aligned=tuple(sorted(subset + (desired,))),
-                    code_len=code_len,
+                    code=MdsSpec(M * alpha // T, alpha, params.q) if alpha else None,
                     secret_rows=rows,
                 )
             )

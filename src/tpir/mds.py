@@ -75,31 +75,14 @@ def generator(spec: MdsSpec) -> np.ndarray:
     return _generator_cached(spec.n, spec.k, spec.q)
 
 
-def verify_mds_property(
-    spec: MdsSpec,
-    exhaustive: bool = False,
-    samples: int = 1000,
-    rng: np.random.Generator | None = None,
-):
-    """Check that k-row submatrices are invertible.
+def verify_mds_property(spec: MdsSpec) -> bool:
+    """Check that every k-row submatrix of the generator is invertible.
 
-    Exhaustively over all C(n, k) subsets when requested (or n small),
-    otherwise over ``samples`` subsets drawn from ``rng``, which is then
-    required. Returns True on success, False if some submatrix is singular.
+    Exhaustive over all C(n, k) row subsets. Returns True on success, False
+    if some submatrix is singular.
     """
     g = _generator_cached(spec.n, spec.k, spec.q)
-    if exhaustive or spec.n <= _EXHAUSTIVE_LIMIT:
-        subsets = itertools.combinations(range(spec.n), spec.k)
-    elif rng is None:
-        raise ValueError(
-            f"n={spec.n} > {_EXHAUSTIVE_LIMIT} and not exhaustive: "
-            "drawing k-subsets needs a generator (rng)"
-        )
-    else:
-        subsets = (
-            tuple(sorted(rng.choice(spec.n, size=spec.k, replace=False)))
-            for _ in range(samples)
-        )
+    subsets = itertools.combinations(range(spec.n), spec.k)
     return _check_submatrices(g, spec.k, spec.q, subsets) is None
 
 

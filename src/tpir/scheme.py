@@ -3,22 +3,21 @@
 Queries are materialized as explicit D x (K*L) coefficient matrices over the
 stacked message vector (W_0; ...; W_{K-1}), one per database, held in the
 field's unsigned wire dtype (``field.element_dtype``), so a plan takes the
-bytes its wire form takes and is encoded with no int64 copy. Which of those
-rows (and of the answer symbols) belong to which block, and which codeword
-coordinates each database holds, comes from the layout's row map only
-(``Block.rows``, ``Block.coords``, ``Block.aligned``). A block's codeword
-segment is M contiguous per-database chunks, so one reshape spreads it over
-all M matrices. Answering is a single matrix-vector product. Decoding
-processes blocks in increasing subset size: every block that mixes the
-desired message has its interference reconstructed from its aligned
-undesired-only block (any alpha coordinates of an MDS codeword determine the
-rest), subtracted off, and the surviving desired-codeword coordinates are
-inverted through the desired code and the secret matrix. The inverses of the
-code rows a set of responders holds depend on public data only, the params
-and the responders, so ``subset_tables`` computes them for a stack of
-responder subsets at once, and one set serves every desired index.
-``Decoder.decode_subsets`` decodes the answers of such a stack in one pass;
-``Decoder.decode`` checks the answers of one subset and decodes them there.
+bytes its wire form takes and is encoded with no int64 copy. Which rows (and
+answer symbols) belong to which block, and which MDS code carries each
+block's coordinates, is the layout's row map and code map (``tpir.layout``);
+this module only reads them. A block's codeword segment is M contiguous
+per-database chunks, so one reshape spreads it over all M matrices. Answering
+is a single matrix-vector product. Decoding processes blocks in increasing
+subset size: every block that mixes the desired message has the interference
+of its aligned pair code re-encoded and subtracted off, and the surviving
+desired-codeword coordinates are inverted through the desired code and the
+secret matrix. The inverses of the code rows a set of responders holds depend
+on public data only, the params and the responders, so ``subset_tables``
+computes them for a stack of responder subsets at once, and one set serves
+every desired index. ``Decoder.decode_subsets`` decodes the answers of such a
+stack in one pass; ``Decoder.decode`` checks the answers of one subset and
+decodes them there.
 """
 
 from __future__ import annotations
@@ -147,15 +146,6 @@ def sample_secrets(
     return SchemeSecrets(matrices=mats)
 
 
-def _desired_spec(layout: BlockLayout) -> mds.MdsSpec:
-    p = layout.params
-    return mds.MdsSpec(layout.desired_code_len, p.L, p.q)
-
-
-def _pair_spec(layout: BlockLayout, block) -> mds.MdsSpec:
-    return mds.MdsSpec(block.code_len, block.alpha, layout.params.q)
-
-
 def build_queries(
     params: SchemeParams,
     desired: int,
@@ -186,15 +176,13 @@ def build_queries(
         )
 
     # coefficient rows of the desired codeword over W_desired
-    x_des = linalg.mat_mul(
-        mds.generator(_desired_spec(layout)), secrets.matrices[desired], q
-    )
+    x_des = linalg.mat_mul(mds.generator(layout.desired_code), secrets.matrices[desired], q)
     # coefficient rows of each pair codeword over its message
     pair_rows: dict[tuple[int, ...], dict[int, np.ndarray]] = {}
     for b in layout.blocks:
-        if b.contains_desired or b.alpha == 0:
+        if b.code is None:
             continue
-        gen = mds.generator(_pair_spec(layout, b))
+        gen = mds.generator(b.code)
         pair_rows[b.subset] = {
             k: linalg.mat_mul(gen, secrets.matrices[k][..., slice(*b.secret_rows[k]), :], q)
             for k in b.subset
@@ -266,12 +254,12 @@ def subset_tables(layout: BlockLayout, subsets) -> SubsetTables:
         if len(s) != p.N or s != tuple(sorted(set(s))) or s[0] < 0 or s[-1] >= p.M:
             raise ValueError(f"responders {s} are not {p.N} increasing ids in 0..{p.M - 1}")
     responders = np.array(subsets, dtype=np.int64).reshape(len(subsets), p.N)
-    pairs = {_pair_spec(layout, b): b for b in layout.blocks if b.parity_len}
+    pairs = {b.code: b for b in layout.blocks if b.parity_len}
     return SubsetTables(
         p,
         responders,
-        {spec: mds.submatrix_inverse(spec, b.coords(responders)) for spec, b in pairs.items()},
-        mds.vandermonde_inverse(layout.desired_coords(responders), p.q),
+        {code: mds.submatrix_inverse(code, b.coords(responders)) for code, b in pairs.items()},
+        mds.submatrix_inverse(layout.desired_code, layout.desired_coords(responders)),
     )
 
 
@@ -302,17 +290,14 @@ class Decoder:
     def decode(self, answers) -> np.ndarray:
         """Recover the desired message from >= N answers with distinct db ids.
 
-        Answer values may be vectors of length D or (D, t) matrices; the
-        matrix form decodes t independent stores in one pass (columns are
-        independent right-hand sides of the same linear system). An answer
-        whose database id is outside 0..M-1 or repeats an earlier answer's,
-        whose values are not of an integer dtype, are not D symbols long or
-        are not residues in 0..q-1, or whose column count differs from that
-        of most answers raises ``InvalidAnswerError``.
+        Each answer's values are one vector of D symbols. An answer whose
+        database id is outside 0..M-1 or repeats an earlier answer's, or
+        whose values are not of an integer dtype, not of shape (D,) or not
+        residues in 0..q-1, raises ``InvalidAnswerError``.
+        ``decode_subsets`` decodes many stores and subsets in one pass.
         """
         p = self.params
         by_id = {}
-        batched = False
         for a in answers:
             if not 0 <= a.db_id < p.M:
                 raise InvalidAnswerError(a.db_id, f"id outside 0..{p.M - 1}")
@@ -322,36 +307,20 @@ class Decoder:
             if not np.issubdtype(vals.dtype, np.integer):
                 raise InvalidAnswerError(a.db_id, f"values of dtype {vals.dtype}, not integers")
             vals = vals.astype(np.int64, copy=False)
-            if vals.ndim not in (1, 2):
+            if vals.shape != (self.layout.per_db,):
                 raise InvalidAnswerError(
-                    a.db_id, f"values have {vals.ndim} dimensions, expected 1 or 2"
-                )
-            if vals.shape[0] != self.layout.per_db:
-                raise InvalidAnswerError(
-                    a.db_id, f"{vals.shape[0]} symbols, expected {self.layout.per_db}"
+                    a.db_id, f"values of shape {vals.shape}, expected ({self.layout.per_db},)"
                 )
             if outside_field(vals, p.q):
                 raise InvalidAnswerError(a.db_id, f"values outside 0..{p.q - 1}")
-            if vals.ndim == 1:
-                vals = vals.reshape(-1, 1)
-            else:
-                batched = True
             by_id[a.db_id] = vals
         if len(by_id) < p.N:
             raise ValueError(f"need answers from {p.N} databases, got {len(by_id)}")
-        cols = [v.shape[1] for v in by_id.values()]
-        common = max(set(cols), key=cols.count)
-        for m, vals in by_id.items():
-            if vals.shape[1] != common:
-                raise InvalidAnswerError(
-                    m, f"{vals.shape[1]} columns, other answers have {common}"
-                )
         responders = tuple(sorted(by_id)[: p.N])
         if responders not in self._tables:
             self._tables[responders] = subset_tables(self.layout, [responders])
-        answered = np.stack([by_id[m] for m in responders])
-        (out,) = self.decode_subsets(self._tables[responders], answered[None])
-        return out if batched else out.ravel()
+        answered = np.stack([by_id[m] for m in responders])[None, :, :, None]
+        return self.decode_subsets(self._tables[responders], answered).ravel()
 
     def decode_subsets(self, tables: SubsetTables, answered: np.ndarray) -> np.ndarray:
         """Recover the desired message from the answers of every subset of ``tables``.
@@ -401,17 +370,16 @@ def _code_symbols(layout: BlockLayout, tables: SubsetTables, answered: np.ndarra
         vals = received(b)
         if b.aligned is not None:
             pair = layout.by_subset[b.aligned]
-            spec = _pair_spec(layout, pair)
             # summed info symbols of the aligned interference codeword, one
             # 2-d product per subset: the benchmark's traced mat_mul layer
             # reads the shape of a product's first operand as one matrix
             u = np.stack([
                 linalg.mat_mul(inv, r, q)
-                for inv, r in zip(tables.pair_inv[spec], received(pair))
+                for inv, r in zip(tables.pair_inv[pair.code], received(pair))
             ])
             # all its parity symbols, for every subset at once, then the ones
             # each subset's databases hold
-            parity = linalg.mat_mul(mds.generator(spec)[pair.block_len :], u, q)
+            parity = linalg.mat_mul(mds.generator(pair.code)[pair.block_len :], u, q)
             held = b.coords(tables.responders)[..., None]
             vals = (vals - np.take_along_axis(parity, held, axis=1)) % q
         cleaned.append(vals)

@@ -152,6 +152,10 @@ class DatabaseNode:
     store: scheme.MessageStore
     behavior: str = "responsive"  # responsive | silent
 
+    def __post_init__(self):
+        if self.behavior not in ("responsive", "silent"):
+            raise ValueError(f"node behavior {self.behavior!r}, not 'responsive' or 'silent'")
+
     def answer(self, query_bytes: bytes) -> bytes | None:
         """Wire answer to a wire query whose q, K and L must match the store's."""
         if self.behavior == "silent":

@@ -138,12 +138,12 @@ def test_structural_privacy_rejects_stacked_plan():
 
 
 def test_structural_privacy_sampling_needs_generator():
-    # C(5, 2) = 10 collusion subsets exceed the cap of 4, so some are drawn
-    p = SchemeParams(2, 3, 2, 5)
+    # C(12, 5) = 792 collusion subsets exceed the cap of 500, so some are drawn
+    p = SchemeParams(1, 5, 5, 12)
     with pytest.raises(ValueError, match="needs a generator"):
-        audit.structural_privacy_check(p, 0, max_subsets=4)
-    res = audit.structural_privacy_check(p, 0, max_subsets=4, rng=np.random.default_rng(2))
-    assert res.passed and res.details["subsets_checked"] == 4
+        audit.structural_privacy_check(p, 0)
+    res = audit.structural_privacy_check(p, 0, rng=np.random.default_rng(2))
+    assert res.passed and res.details["subsets_checked"] == 500
 
 
 def test_structural_privacy_catches_tampered_support():

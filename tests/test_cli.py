@@ -193,6 +193,13 @@ def test_audit_empirical_with_one_message_is_usage_error(capsys):
     assert "K >= 2" in err
 
 
+def test_audit_zero_trials_is_usage_error(capsys):
+    code, out, err = run(capsys, "audit", "-K", "2", "-N", "2", "-T", "1",
+                         "--seed", "1", "--trials", "0")
+    assert code == 2
+    assert "trials=0" in err
+
+
 def test_simulate_with_drops(capsys):
     code, out, _ = run(capsys, "simulate", "-K", "2", "-N", "3", "-T", "2",
                        "-M", "5", "--drop", "1,3", "--seed", "2")

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from tpir import layout, scheme
 from tpir.layout import SchemeParams, build_layout
+from tpir.mds import MdsSpec
 
 
 def params_grid(max_K=4, max_N=5, extra_M=(0, 1, 2)):
@@ -141,6 +142,7 @@ def test_block_slices_partition(K, N, data):
     desired = data.draw(st.integers(0, K - 1))
     lay = build_layout(p, desired)
     dbs = data.draw(st.permutations(range(M)))[: data.draw(st.integers(1, M))]
+    colluders = data.draw(st.permutations(range(M)))[:T]
     row = 0
     for b in lay.blocks:
         # rows tile one database's [0, per_db) in canonical order
@@ -160,4 +162,15 @@ def test_block_slices_partition(K, N, data):
             # a pair code's parity exactly fills the block aligned with it
             pair, child = (other, b) if b.contains_desired else (b, other)
             assert pair.parity_len == child.block_len
+            # the pair code, None without a core; T databases hold alpha coordinates
+            if b is pair and b.alpha == 0:
+                assert b.code is None and b.code_len == 0
+            elif b is pair:
+                assert b.code == MdsSpec(M * b.alpha // T, b.alpha, p.q)
+                assert np.array_equal(lay.codeword_coords(b, range(M)), np.arange(b.code_len))
+                held = lay.codeword_coords(b, colluders)
+                assert held.size == len(set(held.tolist())) == b.alpha
+            else:
+                assert b.code is None and b.code_len is None
+    assert lay.desired_code == MdsSpec(lay.desired_code_len, p.L, p.q)
     assert row == lay.per_db

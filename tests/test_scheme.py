@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tpir import audit, field, layout, linalg, mds, scheme, simnet
+from tpir import audit, field, layout, linalg, scheme, simnet
 from tpir.layout import SchemeParams, build_layout
 
 
@@ -320,7 +320,7 @@ def _decoder_and_answers(p, seed=4):
         "3-d",
         "negative-value",
         "value-equals-q",
-        "column-count",
+        "2-d",
         "float-values",
         "duplicate-id",
     ],
@@ -347,7 +347,7 @@ def test_decoder_tables_for_many_subsets_match_one_at_a_time(point):
     for desired in range(p.K):
         lay = build_layout(p, desired)
         together = scheme.subset_tables(lay, subsets)
-        specs = {mds.MdsSpec(b.code_len, b.alpha, p.q) for b in lay.blocks if b.parity_len}
+        specs = {b.code for b in lay.blocks if b.parity_len}
         assert together.pair_inv.keys() == first.pair_inv.keys() == specs
         for spec, inv in first.pair_inv.items():
             assert inv.shape == (len(subsets), spec.k, spec.k)
@@ -377,23 +377,23 @@ def test_stacked_decode_matches_one_subset_at_a_time(point):
     tables = scheme.subset_tables(build_layout(p, 0), subsets)
     for desired in range(p.K):
         plan = scheme.build_queries(p, desired, secrets)
+        # answers[j][m]: database m's answer over store j
         answers = [
-            scheme.Answer(m, np.stack(
-                [scheme.answer_query(m, plan.matrices[m], st).values for st in stores], axis=1
-            ))
-            for m in range(p.M)
+            [scheme.answer_query(m, plan.matrices[m], st) for m in range(p.M)] for st in stores
         ]
-        answered = np.stack([a.values for a in answers])[tables.responders]
+        answered = np.stack(
+            [[a.values for a in per_store] for per_store in answers], axis=-1
+        )[tables.responders]
         stacked = scheme.Decoder(p, desired, secrets, plan.layout).decode_subsets(
             tables, answered
         )
-        want = np.stack([st.data[desired] for st in stores], axis=1)
         assert stacked.shape == (len(subsets), p.L, len(stores))
         for i, sub in enumerate(subsets):
             one = scheme.Decoder(p, desired, secrets, plan.layout)
-            alone = one.decode([answers[m] for m in sub])
-            assert np.array_equal(stacked[i], want), (desired, sub)
-            assert np.array_equal(alone, want), (desired, sub)
+            for j, st in enumerate(stores):
+                alone = one.decode([answers[j][m] for m in sub])
+                assert np.array_equal(stacked[i, :, j], st.data[desired]), (desired, sub, j)
+                assert np.array_equal(alone, st.data[desired]), (desired, sub, j)
 
 
 def test_stacked_decode_rejects_mismatched_answers():

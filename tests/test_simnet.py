@@ -166,6 +166,12 @@ def test_node_rejects_query_for_another_store(q, K, L, name):
         node.answer(query)
 
 
+def test_node_rejects_unknown_behavior():
+    store = scheme.MessageStore(np.ones((2, 4), dtype=np.int64), 5)
+    with pytest.raises(ValueError, match="'silnet'"):
+        simnet.DatabaseNode(0, store, "silnet")
+
+
 @pytest.mark.parametrize("point", [(2, 3, 2, 5), (4, 5, 2, 7)])
 def test_node_answers_wire_queries_as_int64_queries(point):
     """A node answers from the query's wire-dtype view with the bytes an int64
