@@ -2,8 +2,9 @@
 
 Three layers of assurance, strongest first: an exhaustive distributional
 check of the secret-submatrix invariance at enumerable sizes, structural
-per-collusion-subset checks (coordinate counts plus invertibility of every
-selected code submatrix, verified by explicit product-with-inverse), and an
+checks over every collusion subset (coordinate counts per code plus
+invertibility of every selected code submatrix, certified by
+``mds.first_singular``), and an
 empirical chi-square comparison of query distributions across desired
 indices. Correctness is checked by brute-force execution over responder
 subsets, and the achieved rate is compared to the capacity formula as exact
@@ -119,13 +120,15 @@ def structural_privacy_check(
     plan: scheme.QueryPlan | None = None,
     rng: np.random.Generator | None = None,
 ) -> CheckResult:
-    """Per collusion subset: variable counts and code-submatrix invertibility.
+    """Over every collusion subset: variable counts and code-submatrix invertibility.
 
     For every T-subset of databases the variables it sees from each message
     must number exactly T * N^(K-1), the rows of each interference code it
     sees must form an invertible alpha x alpha submatrix, and the desired-code
-    rows it sees must have full row rank. Invertibility is certified by an
-    explicit inverse and product-equals-identity verification. If a plan is
+    rows it sees must have full row rank. Each code is checked once for all
+    T-subsets: the counts are read from the shape of its stacked view of the
+    coordinates they hold, and invertibility is certified by
+    ``mds.first_singular``. If a plan is
     supplied its row-support pattern is also validated against the layout;
     its desired index and parameters must be ``desired`` and ``params``, and
     each of its matrices must be one 2-d (D, K*L) query, not a stack. When
@@ -145,7 +148,6 @@ def structural_privacy_check(
             f"plan matrices of shapes {sorted({m.shape for m in plan.matrices})}, not "
             f"({layout.per_db}, {p.K * p.L}); check a stacked plan one slice at a time"
         )
-    q = p.q
     expected_per_msg = p.T * p.N ** (p.K - 1)
 
     if plan is not None:
@@ -156,66 +158,40 @@ def structural_privacy_check(
         if bad is not None:
             return CheckResult(name, False, {"alignment_violation": bad})
 
-    pair_blocks = [b for b in layout.blocks if b.code is not None]
     subsets = _t_subsets(p.M, p.T, _STRUCTURAL_SUBSETS, rng)
-    # one row per T-subset: the codeword coordinates it holds of each pair
-    # code, and of the desired code
-    coords = {b.subset: layout.codeword_coords(b, subsets) for b in pair_blocks}
+    # one view per pair code: a row per T-subset of the codeword coordinates
+    # it holds, all of one length by construction, so each count is read once
+    views = [(b, layout.codeword_coords(b, subsets)) for b in layout.blocks if b.code is not None]
+    for b, coords in views:
+        if coords.shape[-1] != b.code.k:
+            return CheckResult(
+                name, False, {"block": b.subset, "count": coords.shape[-1], "expected": b.code.k}
+            )
     nodes = layout.desired_coords(subsets)
-    gen_d = mds.generator(layout.desired_code)
-    # one stacked inverse per code, when the T-subsets' counts match it; the
-    # desired check inverts the leading square Vandermonde on the nodes
-    inverses = {b.subset: _stacked_inverses(b.code, coords[b.subset]) for b in pair_blocks}
-    desired_inv = _stacked_inverses(
-        mds.MdsSpec(layout.desired_code_len, expected_per_msg, q), nodes
-    )
-    sizes = {expected_per_msg, *(b.alpha for b in pair_blocks)}
-    eye = {n: np.eye(n, dtype=np.int64) for n in sizes}
-
-    for i, tsub in enumerate(subsets):
-        per_msg = {k: 0 for k in range(p.K)}
-        for b in pair_blocks:
-            c = coords[b.subset][i]
-            if c.size != b.alpha:
-                return CheckResult(
-                    name,
-                    False,
-                    {"subset": tsub, "block": b.subset, "count": c.size,
-                     "expected": b.alpha},
-                )
-            if not np.array_equal(
-                linalg.mat_mul(inverses[b.subset][i], mds.generator(b.code)[c], q), eye[b.alpha]
-            ):
-                return CheckResult(
-                    name, False, {"subset": tsub, "block": b.subset,
-                                  "reason": "singular MDS submatrix"}
-                )
-            for k in b.subset:
-                per_msg[k] += c.size
-        # desired-message rows seen by the subset
-        per_msg[desired] = nodes[i].size
-        if any(v != expected_per_msg for v in per_msg.values()):
+    per_msg = {k: sum(b.code.k for b, _ in views if k in b.subset) for k in range(p.K)}
+    per_msg[desired] = nodes.shape[-1]
+    if any(v != expected_per_msg for v in per_msg.values()):
+        return CheckResult(
+            name, False, {"per_message_counts": per_msg, "expected": expected_per_msg}
+        )
+    for b, coords in views:
+        i = mds.first_singular(b.code, coords)
+        if i is not None:
             return CheckResult(
-                name, False, {"subset": tsub, "per_message_counts": per_msg,
-                              "expected": expected_per_msg},
+                name, False,
+                {"subset": subsets[i], "block": b.subset, "reason": "singular MDS submatrix"},
             )
-        # full row rank: the leading square Vandermonde on these nodes
-        r = nodes[i].size
-        if not np.array_equal(
-            linalg.mat_mul(desired_inv[i], gen_d[nodes[i]][:, :r], q), eye[r]
-        ):
-            return CheckResult(
-                name, False, {"subset": tsub, "reason": "desired code rows rank-deficient"}
-            )
+    # the desired-code rows have full row rank: the leading square Vandermonde
+    # on their nodes, the generator of the (n_d, T * N^(K-1)) code, is invertible
+    i = mds.first_singular(mds.MdsSpec(layout.desired_code_len, expected_per_msg, p.q), nodes)
+    if i is not None:
+        return CheckResult(
+            name, False, {"subset": subsets[i], "reason": "desired code rows rank-deficient"}
+        )
     return CheckResult(
         name, True,
         {"subsets_checked": len(subsets), "per_message_variables": expected_per_msg},
     )
-
-
-def _stacked_inverses(spec: mds.MdsSpec, coord_sets: np.ndarray) -> np.ndarray | None:
-    """Each row's submatrix inverse, in one call; None unless rows hold exactly k coordinates."""
-    return mds.submatrix_inverse(spec, coord_sets) if coord_sets.shape[-1] == spec.k else None
 
 
 def _plan_support_mismatch(plan: scheme.QueryPlan):

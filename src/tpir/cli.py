@@ -138,7 +138,7 @@ def cmd_layout(args) -> int:
             "alpha": b.alpha,
             "rows_total": b.block_len,
             "rows_per_db": b.per_db_len,
-            "code": f"({b.code_len},{b.alpha})" if not b.contains_desired else "-",
+            "code": f"({b.code.n},{b.code.k})" if b.code is not None else "-",
         }
         for b in lay.blocks
     ]

@@ -212,8 +212,10 @@ class BlockLayout:
             name = "{" + ",".join(map(str, b.subset)) + "}"
             if b.contains_desired:
                 role = f"desired codeword [{b.desired_offset}:{b.desired_offset + b.block_len})"
+            elif b.code is None:
+                role = "no core coordinates, no code"
             else:
-                role = f"info segment of ({b.code_len},{b.alpha}) code; rows " + ", ".join(
+                role = f"info segment of ({b.code.n},{b.code.k}) code; rows " + ", ".join(
                     f"S{k}[{lo}:{hi}]" for k, (lo, hi) in sorted(b.secret_rows.items())
                 )
             lines.append(f"{name:<16}{b.alpha:>6}{b.block_len:>6}{b.per_db_len:>7}  {role}")

@@ -47,6 +47,7 @@ __all__ = [
     "mat_mul",
     "rank",
     "invert",
+    "solve",
     "sample_uniform_full_rank",
     "enumerate_full_rank",
     "count_full_rank",
@@ -315,6 +316,11 @@ def invert(a, q: int) -> np.ndarray:
     if r < n:
         raise SingularMatrixError(r, n)
     return aug[:, n:]
+
+
+def solve(secret, y, q: int) -> np.ndarray:
+    """secret^-1 @ y over GF(q); raises ``SingularMatrixError`` if ``secret`` is singular."""
+    return mat_mul(invert(secret, q), y, q)
 
 
 def sample_uniform_full_rank(

@@ -2,7 +2,8 @@
 
 The generator row at evaluation point x is (x^0, x^1, ..., x^(k-1)) with
 points 0, 1, ..., n-1, so any k rows form a square Vandermonde matrix on
-distinct nodes and are invertible. The generator is deterministic and
+distinct nodes (``MdsSpec`` requires a prime q >= n) and are invertible; a
+generator is built without a check. The generator is deterministic and
 globally known; only the secret matrices it multiplies are random.
 """
 
@@ -19,14 +20,12 @@ from .field import is_prime
 
 __all__ = [
     "MdsSpec",
+    "first_singular",
     "generator",
     "submatrix_inverse",
     "vandermonde_inverse",
     "verify_mds_property",
 ]
-
-# Exhaustive subset check at construction is cheap up to this code length.
-_EXHAUSTIVE_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -49,41 +48,41 @@ class MdsSpec:
 
 
 @lru_cache(maxsize=None)
-def _generator_cached(n: int, k: int, q: int) -> np.ndarray:
-    nodes = np.arange(n, dtype=np.int64)
-    g = np.empty((n, k), dtype=np.int64)
+def generator(spec: MdsSpec) -> np.ndarray:
+    """n x k Vandermonde generator; row i is (i^0, ..., i^(k-1)) mod q; cached, read-only."""
+    nodes = np.arange(spec.n, dtype=np.int64)
+    g = np.empty((spec.n, spec.k), dtype=np.int64)
     g[:, 0] = 1
-    for j in range(1, k):
-        g[:, j] = g[:, j - 1] * nodes % q
-    if n <= _EXHAUSTIVE_LIMIT:
-        bad = _check_submatrices(g, k, q, itertools.combinations(range(n), k))
-        if bad is not None:
-            raise AssertionError(f"MDS property violated for rows {bad}")
+    for j in range(1, spec.k):
+        g[:, j] = g[:, j - 1] * nodes % spec.q
     g.setflags(write=False)
     return g
 
 
-def _check_submatrices(g: np.ndarray, k: int, q: int, subsets):
-    for rows in subsets:
-        if linalg.rank(g[list(rows)], q) != k:
-            return rows
+def first_singular(spec: MdsSpec, coord_sets) -> int | None:
+    """Index of the first set in an (S, k) coordinate stack whose rows are singular, or None.
+
+    Each set's inverse from ``submatrix_inverse`` (which checks the sets) is
+    certified by one 2-d product with the rows, which must be the identity.
+    """
+    g, eye = generator(spec), np.eye(spec.k, dtype=np.int64)
+    coord_sets = np.asarray(coord_sets, dtype=np.int64)
+    for i, (inv, c) in enumerate(zip(submatrix_inverse(spec, coord_sets), coord_sets)):
+        if not np.array_equal(linalg.mat_mul(inv, g[c], spec.q), eye):
+            return i
     return None
-
-
-def generator(spec: MdsSpec) -> np.ndarray:
-    """n x k Vandermonde generator; row i is (i^0, ..., i^(k-1)) mod q."""
-    return _generator_cached(spec.n, spec.k, spec.q)
 
 
 def verify_mds_property(spec: MdsSpec) -> bool:
     """Check that every k-row submatrix of the generator is invertible.
 
-    Exhaustive over all C(n, k) row subsets. Returns True on success, False
-    if some submatrix is singular.
+    Exhaustive over all C(n, k) row subsets, n at a time through
+    ``first_singular``, so memory stays bounded. Returns True on success,
+    False if some submatrix is singular.
     """
-    g = _generator_cached(spec.n, spec.k, spec.q)
     subsets = itertools.combinations(range(spec.n), spec.k)
-    return _check_submatrices(g, spec.k, spec.q, subsets) is None
+    batches = iter(lambda: list(itertools.islice(subsets, spec.n)), [])
+    return all(first_singular(spec, batch) is None for batch in batches)
 
 
 def submatrix_inverse(spec: MdsSpec, coords) -> np.ndarray:

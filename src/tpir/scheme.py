@@ -268,7 +268,7 @@ class Decoder:
 
     ``decode_subsets`` decodes a stack of responder subsets in one pass;
     ``decode`` checks the answers of one subset and decodes them there,
-    keeping each subset's tables. S_desired is inverted once per decoder.
+    keeping each subset's tables. The secret step is one ``linalg.solve``.
     """
 
     def __init__(
@@ -284,7 +284,6 @@ class Decoder:
         self.desired = desired
         self.secrets = secrets
         self.layout = layout
-        self._secret_inv: np.ndarray | None = None
         self._tables: dict[tuple[int, ...], SubsetTables] = {}
 
     def decode(self, answers) -> np.ndarray:
@@ -330,7 +329,7 @@ class Decoder:
         residues mod q, one per store. Returns the (S, L, t) messages. Only
         the shape is checked (``ValueError``); ``decode`` checks answers
         from outside. The codes are undone from public data only, then
-        S_desired^-1 is applied to every subset's columns in one product.
+        S_desired^-1 is applied to every subset's columns in one ``linalg.solve``.
         """
         p = self.params
         s = len(tables.responders)
@@ -341,11 +340,7 @@ class Decoder:
                 f"{p.N} databases with {self.layout.per_db} symbols each at {tables.params}"
             )
         slw = _code_symbols(self.layout, tables, answered)
-        # Only S_desired is ever inverted, so it is inverted here, once per
-        # decoder, rather than alongside each of the K secret draws.
-        if self._secret_inv is None:
-            self._secret_inv = linalg.invert(self.secrets.matrices[self.desired], p.q)
-        out = linalg.mat_mul(self._secret_inv, slw, p.q)
+        out = linalg.solve(self.secrets.matrices[self.desired], slw, p.q)
         return out.reshape(p.L, s, answered.shape[-1]).transpose(1, 0, 2)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from scipy import stats
 
 import tpir
-from tpir import audit, layout, linalg, scheme
+from tpir import audit, layout, linalg, mds, scheme
 from tpir.layout import SchemeParams
 
 
@@ -179,6 +180,54 @@ def test_structural_privacy_rejects_plan_for_other_arguments():
     assert audit.structural_privacy_check(SchemeParams(3, 3, 1, 4), 0, plan).passed
 
 
+def corrupt_one_inverse(monkeypatch, spec, bad):
+    """Make ``mds.submatrix_inverse`` wrong for ``spec``'s coordinate set ``bad`` in a stack."""
+    real = mds.submatrix_inverse
+
+    def submatrix_inverse(s, coords):
+        out = real(s, coords)
+        if s == spec and np.ndim(coords) == 2:
+            hit = (np.asarray(coords) == np.asarray(bad)).all(axis=1)
+            out[hit, 0, 0] = (out[hit, 0, 0] + 1) % s.q
+        return out
+
+    monkeypatch.setattr(mds, "submatrix_inverse", submatrix_inverse)
+
+
+def test_certification_catches_one_wrong_inverse(monkeypatch):
+    # negative control: the product with the rows must expose one wrong inverse
+    spec = mds.MdsSpec(9, 6, 11)
+    sets = list(itertools.combinations(range(9), 6))
+    corrupt_one_inverse(monkeypatch, spec, sets[40])
+    assert mds.first_singular(spec, sets) == 40
+    assert mds.first_singular(spec, sets[41:]) is None
+    assert not mds.verify_mds_property(spec)
+    assert mds.verify_mds_property(mds.MdsSpec(9, 5, 11))
+
+
+@pytest.mark.parametrize("view", ["pair", "desired"])
+def test_structural_privacy_names_the_subset_of_a_wrong_inverse(monkeypatch, view):
+    p = SchemeParams(3, 3, 2, 4)
+    plan = make_plan(p, 1)
+    assert audit.structural_privacy_check(p, 1, plan).passed
+    lay = plan.layout
+    subsets = list(itertools.combinations(range(p.M), p.T))
+    bad = subsets[4]
+    if view == "pair":
+        block = lay.by_subset[(0, 2)]
+        spec, coords = block.code, lay.codeword_coords(block, bad)
+        # the only pair block with this (12, 6) code
+        expected = {"subset": bad, "block": (0, 2), "reason": "singular MDS submatrix"}
+    else:
+        spec = mds.MdsSpec(lay.desired_code_len, p.T * p.N ** (p.K - 1), p.q)
+        coords = lay.desired_coords(bad)
+        expected = {"subset": bad, "reason": "desired code rows rank-deficient"}
+    corrupt_one_inverse(monkeypatch, spec, coords)
+    res = audit.structural_privacy_check(p, 1, plan)
+    assert not res.passed
+    assert res.details == expected
+
+
 def test_lemma1_small_exhaustive():
     for alpha, beta, q in [(2, 1, 2), (2, 2, 2), (3, 2, 2), (3, 3, 2), (2, 2, 3)]:
         res = audit.lemma1_exhaustive_check(alpha, beta, q)
@@ -209,17 +258,18 @@ def test_correctness_sweep_catches_one_wrong_secret_inverse(monkeypatch, desired
     honest = audit.correctness_sweep(p, trials=3, rng=np.random.default_rng(2))
     assert honest.passed
     assert honest.details == {"trials": 3, "subsets": 15, "decodes": 90}
-    real, calls = linalg.invert, []
+    real, calls = linalg.solve, []
 
-    def invert(a, q):
-        inv = real(a, q)
-        if len(calls) == desired:  # the sweep inverts once per desired index, in order
-            inv = inv.copy()
-            inv[0, 0] = (inv[0, 0] + 1) % q
+    def solve(secret, y, q):
+        x = real(secret, y, q)
+        if len(calls) == desired:  # the sweep solves once per desired index, in order
+            # as if entry (0, 0) of secret^-1 were one more: row 0 gains y's row 0
+            x = x.copy()
+            x[0] = (x[0] + y[0]) % q
         calls.append(q)
-        return inv
+        return x
 
-    monkeypatch.setattr(linalg, "invert", invert)
+    monkeypatch.setattr(linalg, "solve", solve)
     res = audit.correctness_sweep(p, trials=3, rng=np.random.default_rng(2))
     assert not res.passed
     assert res.details == {"desired": desired, "store": store, "responders": (0, 1, 2, 3)}
@@ -410,9 +460,18 @@ def test_run_audit_at_the_benchmark_session_point(broken):
     # L = 625, where the streamed one-column products run
     report = audit.run_audit(SchemeParams(4, 5, 2, 7), trials=2, seed=3, break_alignment=broken)
     assert report.passed, report.lines()
-    names = [c.name for c in report.checks]
-    structural = "structural_privacy_detects_broken" if broken else "structural_privacy"
-    assert structural in names and "correctness_sweep" in names
+    checks = {c.name: c for c in report.checks}
+    assert checks["correctness_sweep"].details == {"trials": 2, "subsets": 21, "decodes": 168}
+    if broken:
+        # caught by the plan's alignment check, before any count or inverse
+        detected = checks["structural_privacy_detects_broken"]
+        assert detected.passed and "alignment_violation" in detected.details
+        assert "structural_privacy" not in checks
+    else:
+        # C(7, 2) = 21 coalitions, each seeing T * N^(K-1) = 250 variables per message
+        assert checks["structural_privacy"].details == {
+            "subsets_checked": 21, "per_message_variables": 250,
+        }
 
 
 def test_run_audit_fault_injection_guard():

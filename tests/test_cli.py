@@ -43,6 +43,18 @@ def test_layout_table(capsys):
     assert "rows/db=5" in out and "total=15" in out
 
 
+def test_layout_records_give_no_code_for_a_pair_block_without_core(capsys):
+    # at T = N the pair block {1,2} has alpha = 0, so no MDS code exists for it
+    code, out, _ = run(capsys, "layout", "-K", "3", "-N", "2", "-T", "2", "-M", "3",
+                       "--format", "records")
+    assert code == 0
+    rows = {r["block"]: r for r in map(json.loads, out.splitlines())}
+    assert rows["{1,2}"]["mixes_desired"] is False and rows["{1,2}"]["alpha"] == 0
+    assert rows["{1,2}"]["code"] == "-"
+    assert rows["{1}"]["code"] == rows["{2}"]["code"] == "(12,8)"
+    assert rows["{0}"]["code"] == "-"
+
+
 def test_layout_rejects_zero_databases(capsys):
     code, out, err = run(capsys, "layout", "-K", "2", "-N", "3", "-T", "2", "-M", "0")
     assert code == 2

@@ -51,6 +51,20 @@ def test_invert_round_trip(mq):
     assert np.array_equal(linalg.mat_mul(inv, a, q), np.eye(n, dtype=np.int64))
 
 
+@given(square_matrix(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_solve_round_trip(mq, columns, seed):
+    a, q = mq
+    y = np.random.default_rng(seed).integers(0, q, size=(a.shape[0], columns))
+    try:
+        x = linalg.solve(a, y, q)
+    except linalg.SingularMatrixError as e:
+        assert e.rank < a.shape[0]
+        return
+    assert x.shape == y.shape and x.dtype == np.int64
+    assert np.array_equal(linalg.mat_mul(a, x, q), y)
+    assert np.array_equal(x, linalg.mat_mul(linalg.invert(a, q), y, q))
+
+
 @given(square_matrix(), st.integers(0, 2**32 - 1))
 def test_rank_invariant_under_row_permutation(mq, seed):
     a, q = mq

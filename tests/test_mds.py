@@ -140,7 +140,11 @@ def test_submatrix_inverse_rejects_bad_coordinates(coords, message):
 
 
 def test_verify_mds_property_exhaustive():
-    assert mds.verify_mds_property(mds.MdsSpec(9, 6, 11))
+    spec = mds.MdsSpec(9, 6, 11)
+    assert mds.verify_mds_property(spec)
+    assert mds.first_singular(spec, list(itertools.combinations(range(9), 6))) is None
+    with pytest.raises(ValueError, match="distinct"):
+        mds.first_singular(spec, [(0, 1, 2, 3, 4, 4)])
 
 
 def test_spec_validation():
