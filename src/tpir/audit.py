@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg, mds, scheme
-from .field import elements_to_bytes
+from .field import elements_to_bytes, is_prime
 from .layout import SchemeParams, build_layout, total_download
 
 __all__ = [
@@ -430,6 +430,8 @@ def lemma1_exhaustive_check(alpha: int, beta: int, q: int) -> CheckResult:
     vector I of beta distinct row indices, exhaustively over (G, I).
     """
     name = f"lemma1_alpha{alpha}_beta{beta}_q{q}"
+    if not is_prime(q):
+        raise ValueError(f"q={q} is not prime")
     if q ** (alpha * alpha) > 2**24:
         raise ValueError(f"GL({alpha},{q}) too large to enumerate")
     if not 1 <= beta <= alpha:

@@ -17,13 +17,14 @@ operand, not a ``% q`` copy. An unsigned integer operand, such as a query
 plan or a query read from the wire, keeps its dtype until the product casts
 it.
 
-Elimination is blocked: each panel of columns is pivoted by a small
-unblocked loop, and the rest of the matrix is updated by one exact product
-per panel, so the bulk of the work runs as BLAS matrix products. Reduction
-mod q is delayed: the trailing rows take the unreduced products and are
-reduced only when int64 would otherwise overflow, and only what pivoting
-reads is reduced on the way (the delayed reduction of FFLAS-FFPACK, Dumas,
-Giorgi and Pernet, ACM TOMS 2008).
+Inversion is a blocked Gauss-Jordan elimination: each panel of columns is
+pivoted by a small unblocked loop, and the other rows are updated by one
+exact product per panel, so the bulk of the work runs as BLAS products.
+Those rows take the products unreduced and are never reduced between panels,
+as each product's entries are below 2^53 and there are at most 2^10 panels;
+only what pivoting reads is reduced on the way (the delayed reduction of
+FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008). ``rank`` runs the
+unblocked loop alone.
 
 Uniform elements of GL(n, q) are drawn through a unique factorisation, as a
 product of two random factors, with no elimination and no rejection of
@@ -236,36 +237,35 @@ def _pivot_loop(a: np.ndarray, q: int, ncols: int, jordan: bool):
 _BLOCK = 64
 
 
-def _eliminate(a: np.ndarray, q: int, ncols: int, jordan: bool):
-    """In-place elimination on ``a`` using pivots from its first ``ncols`` columns.
+def _eliminate(a: np.ndarray, q: int, ncols: int):
+    """In-place Gauss-Jordan elimination on ``a`` using pivots from its first ``ncols`` columns.
 
     ``a`` must be reduced mod q, and q at most 2^31 (larger q raises
-    ``ValueError``). Returns (rank, pivot column list). With ``jordan=True``
-    produces reduced row-echelon form; otherwise only eliminates below
-    pivots. All columns of ``a`` take part in the row operations, so an
-    augmented right-hand side is transformed along with the pivot columns.
-    On return ``a`` is reduced mod q.
+    ``ValueError``). Returns (rank, pivot column list) and leaves ``a`` in
+    reduced row-echelon form, reduced mod q. All columns of ``a`` take part
+    in the row operations, so an augmented right-hand side is transformed
+    along with the pivot columns.
 
     Right-looking and blocked: a reduced copy of each panel of ``_BLOCK``
     columns (rows from the first unpivoted one down) is pivoted by
     ``_pivot_loop``, its row swaps are replayed on ``a``, the panel's pivot
     rows are reduced and normalised by the inverse of their pivot-column
-    block, and every other row (below the panel, or all rows for ``jordan``)
-    gets one rank-b update: the unreduced product of its reduced multipliers
-    and the pivot rows. Only what pivoting reads is reduced between panels;
-    the trailing rows are reduced only when the next update could overflow
-    int64, which for small q is never. With at most ``_BLOCK`` pivot columns
-    the unblocked loop runs on ``a`` directly, so small matrices pay no panel
-    overhead.
+    block, and every other row gets one rank-b update: the unreduced product
+    of its reduced multipliers and the pivot rows. Those rows are never
+    reduced between panels: a product's entries are below 2^53 (b*(q-1)^2
+    on the float path of ``_product``, residues on its limb path). With at
+    most ``_BLOCK`` pivot columns the unblocked loop runs on ``a`` directly.
     """
     check_modulus(q)
+    # int64 holds the updates of at most 2^10 panels, each below 2^53 per entry
+    if ncols >= 2**16:
+        raise ValueError(f"{ncols} pivot columns: elimination here needs fewer than 2^16")
     if ncols <= _BLOCK:
-        r, pivots, _ = _pivot_loop(a, q, ncols, jordan)
+        r, pivots, _ = _pivot_loop(a, q, ncols, jordan=True)
         return r, pivots
     m = a.shape[0]
     r = 0
     pivots = []
-    worst = q - 1  # bound on |entries| in the rows the panel updates touch
     for c0 in range(0, ncols, _BLOCK):
         if r == m:
             break
@@ -280,15 +280,8 @@ def _eliminate(a: np.ndarray, q: int, ncols: int, jordan: bool):
         block = np.concatenate([top[:, cols], np.eye(b, dtype=np.int64)], axis=1)
         _pivot_loop(block, q, b, jordan=True)
         top[...] = _product(block[:, b:], top, q) % q
-        step = b * (q - 1) ** 2  # bounds the entries of _product's result
-        others = (a[:r, c0:], a[r + b :, c0:]) if jordan else (a[r + b :, c0:],)
-        if worst + step >= 2**63:
-            for rows in others:
-                rows %= q
-            worst = q - 1
-        for rows in others:
+        for rows in (a[:r, c0:], a[r + b :, c0:]):
             rows -= _product(rows[:, cols] % q, top, q)
-        worst += step
         pivots.extend(c0 + c for c in cols)
         r += b
     a %= q
@@ -296,10 +289,10 @@ def _eliminate(a: np.ndarray, q: int, ncols: int, jordan: bool):
 
 
 def rank(a, q: int) -> int:
-    """Rank over GF(q) via Gaussian elimination."""
+    """Rank over GF(q) by Gaussian elimination in the unblocked loop, ``_pivot_loop``."""
+    check_modulus(q)
     work = _as_array(a) % q
-    r, _ = _eliminate(work, q, work.shape[1], jordan=False)
-    return r
+    return _pivot_loop(work, q, work.shape[1], jordan=False)[0]
 
 
 def invert(a, q: int) -> np.ndarray:
@@ -312,7 +305,7 @@ def invert(a, q: int) -> np.ndarray:
     if a.shape[1] != n:
         raise ValueError(f"matrix not square: {a.shape}")
     aug = np.concatenate([a % q, np.eye(n, dtype=np.int64)], axis=1)
-    r, _ = _eliminate(aug, q, n, jordan=True)
+    r, _ = _eliminate(aug, q, n)
     if r < n:
         raise SingularMatrixError(r, n)
     return aug[:, n:]

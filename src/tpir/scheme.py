@@ -268,7 +268,7 @@ class Decoder:
 
     ``decode_subsets`` decodes a stack of responder subsets in one pass;
     ``decode`` checks the answers of one subset and decodes them there,
-    keeping each subset's tables. The secret step is one ``linalg.solve``.
+    building that subset's tables. The secret step is one ``linalg.solve``.
     """
 
     def __init__(
@@ -284,7 +284,6 @@ class Decoder:
         self.desired = desired
         self.secrets = secrets
         self.layout = layout
-        self._tables: dict[tuple[int, ...], SubsetTables] = {}
 
     def decode(self, answers) -> np.ndarray:
         """Recover the desired message from >= N answers with distinct db ids.
@@ -315,11 +314,9 @@ class Decoder:
             by_id[a.db_id] = vals
         if len(by_id) < p.N:
             raise ValueError(f"need answers from {p.N} databases, got {len(by_id)}")
-        responders = tuple(sorted(by_id)[: p.N])
-        if responders not in self._tables:
-            self._tables[responders] = subset_tables(self.layout, [responders])
+        responders = sorted(by_id)[: p.N]
         answered = np.stack([by_id[m] for m in responders])[None, :, :, None]
-        return self.decode_subsets(self._tables[responders], answered).ravel()
+        return self.decode_subsets(subset_tables(self.layout, [responders]), answered).ravel()
 
     def decode_subsets(self, tables: SubsetTables, answered: np.ndarray) -> np.ndarray:
         """Recover the desired message from the answers of every subset of ``tables``.

@@ -58,8 +58,13 @@ def _header(kind: int, q: int) -> bytes:
 _HEADER_LEN = 4 + 3 + 8
 
 
-def _parse_header(buf: bytes, kind: int) -> tuple[int, int]:
-    """Validate magic/version/kind, return (q, offset past header)."""
+def _parse(buf: bytes, kind: int, name: str, fields: str, count):
+    """Validate a message of ``kind`` and return (q, its ``fields``, its elements).
+
+    ``fields`` is the struct format of the fixed fields after the header,
+    and ``count(*fields)`` is the number of elements that must follow them;
+    the elements are a view of ``buf`` in the unsigned wire dtype of q.
+    """
     if len(buf) < _HEADER_LEN:
         raise ParseError(
             f"header needs {_HEADER_LEN} bytes, got {len(buf)}", len(buf)
@@ -75,15 +80,18 @@ def _parse_header(buf: bytes, kind: int) -> tuple[int, int]:
         raise ParseError(f"modulus q={q} is not below 2^63", 7)
     if q < 2 or width != element_width(q):
         raise ParseError(f"inconsistent field width {width} for q={q}", 6)
-    return q, _HEADER_LEN
-
-
-def _check_length(buf: bytes, expected: int):
+    off = _HEADER_LEN + struct.calcsize(fields)
+    if len(buf) < off:
+        raise ParseError(f"{name} header needs {off} bytes, got {len(buf)}", len(buf))
+    values = struct.unpack(fields, buf[_HEADER_LEN:off])
+    n = count(*values)
+    expected = off + n * width
     if len(buf) != expected:
         raise ParseError(
             f"truncated payload: expected {expected} bytes, got {len(buf)}",
             min(len(buf), expected),
         )
+    return q, values, elements_from_bytes(buf, q, n, off)
 
 
 def encode_query(q_matrix: np.ndarray, q: int, K: int, L: int) -> bytes:
@@ -105,15 +113,7 @@ def decode_query(buf: bytes) -> tuple[np.ndarray, int, int, int]:
     the unsigned wire dtype of q's width, range-checked once and not widened
     to int64; ``answer_query`` uses it as it is.
     """
-    q, off = _parse_header(buf, _KIND_QUERY)
-    if len(buf) < off + 12:
-        raise ParseError(
-            f"query header needs {off + 12} bytes, got {len(buf)}", len(buf)
-        )
-    K, L, D = struct.unpack("<III", buf[off : off + 12])
-    off += 12
-    _check_length(buf, off + D * K * L * element_width(q))
-    values = elements_from_bytes(buf, q, D * K * L, off)
+    q, (K, L, D), values = _parse(buf, _KIND_QUERY, "query", "<III", lambda K, L, D: D * K * L)
     return values.reshape(D, K * L), q, K, L
 
 
@@ -133,15 +133,8 @@ def decode_answer(buf: bytes) -> tuple[scheme.Answer, int]:
     ``bytes``) in the unsigned wire dtype of q's width; ``Decoder.decode``
     widens them to int64.
     """
-    q, off = _parse_header(buf, _KIND_ANSWER)
-    if len(buf) < off + 8:
-        raise ParseError(
-            f"answer header needs {off + 8} bytes, got {len(buf)}", len(buf)
-        )
-    db_id, D = struct.unpack("<II", buf[off : off + 8])
-    off += 8
-    _check_length(buf, off + D * element_width(q))
-    return scheme.Answer(db_id=db_id, values=elements_from_bytes(buf, q, D, off)), q
+    q, (db_id, _), values = _parse(buf, _KIND_ANSWER, "answer", "<II", lambda db_id, D: D)
+    return scheme.Answer(db_id=db_id, values=values), q
 
 
 @dataclass(frozen=True)
@@ -206,12 +199,10 @@ def run_session(
         raise ValueError(
             f"drop_set of size {len(drop_set)} leaves fewer than N={p.N} responders"
         )
-    if not 0 <= desired < p.K:
-        raise ValueError(f"desired index {desired} outside [0, {p.K})")
+    layout = build_layout(p, desired)
     t0 = time.perf_counter()
 
     secrets = scheme.sample_secrets(p, rng, desired=desired)
-    layout = build_layout(p, desired)
     plan = scheme.build_queries(p, desired, secrets, layout=layout)
     nodes = [
         DatabaseNode(m, store, "silent" if m in drop_set else "responsive")

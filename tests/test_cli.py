@@ -183,6 +183,15 @@ def test_audit_bad_lemma1_spec(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("q", [4, 1])
+def test_audit_lemma1_with_non_prime_q_is_usage_error(capsys, q):
+    code, _, err = run(capsys, "audit", "-K", "2", "-N", "2", "-T", "1",
+                       "--seed", "3", "--trials", "2",
+                       "--lemma1", f"alpha=2,beta=1,q={q}")
+    assert code == 2
+    assert f"q={q} is not prime" in err
+
+
 def test_audit_generates_seed_when_absent(capsys):
     code, out, err = run(capsys, "audit", "-K", "2", "-N", "2", "-T", "1",
                          "--trials", "2")

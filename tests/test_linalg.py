@@ -342,10 +342,13 @@ FLOAT_Q, INT64_Q, OBJECT_Q = 877, 268435399, 1073741827
 
 @pytest.mark.parametrize(
     "n,q",
-    [(65, FLOAT_Q), (130, FLOAT_Q), (200, FLOAT_Q), (130, INT64_Q), (65, OBJECT_Q)],
+    [(65, FLOAT_Q), (130, FLOAT_Q), (200, FLOAT_Q), (130, INT64_Q), (65, OBJECT_Q),
+     (625, 2**31 - 1)],
 )
 def test_invert_round_trip_blocked(n, q):
-    # 65: one panel plus a ragged one; 130 and 200: several panels
+    # 65: one panel plus a ragged one; 130 and 200: several panels; 625 at
+    # the largest modulus: ten panels of limb products that are never reduced
+    # between panels
     a = linalg.sample_uniform_full_rank(n, q, np.random.default_rng(n))
     inv = linalg.invert(a, q)
     eye = np.eye(n, dtype=np.int64)
@@ -383,7 +386,7 @@ def test_rank_of_built_rank_r_matrices(q, m, n, r, zero_cols):
 def test_blocked_rref_matches_unblocked_loop(q):
     a = _rank_r(150, 260, 120, q, np.random.default_rng(q), slice(64, 140))
     blocked, reference = a.copy(), a.copy()
-    got = linalg._eliminate(blocked, q, 260, jordan=True)
+    got = linalg._eliminate(blocked, q, 260)
     want = linalg._pivot_loop(reference, q, 260, jordan=True)[:2]
     assert got == want
     assert np.array_equal(blocked, reference)
@@ -550,11 +553,11 @@ def _reference_eliminate(a, q, ncols, jordan):
     return r, pivots
 
 
-# The largest prime whose 64-term products fit in int64: at n = 448 (seven
-# panels) the updates, bounded by 64 * (q-1)^2 each, would overflow int64
-# unless the bound forces a reduction. At n = 200 (four panels) every range
-# of inner products runs, and for the two larger primes the bound forces
-# reductions.
+# The largest prime with 64 * (q-1)^2 < 2^63. At n = 448 (seven panels)
+# the blocked elimination runs on limb products and takes seven updates with
+# no reduction between them, and the unblocked loop of ``rank``, which
+# defers at most 2^62 / (q-1)^2 = 32 steps, has to reduce. At n = 200 (four
+# panels) every range of inner products runs.
 INT64_EDGE_Q = 379625047
 
 
@@ -563,13 +566,26 @@ INT64_EDGE_Q = 379625047
 )
 @pytest.mark.parametrize("jordan", [False, True])
 def test_eliminate_leaves_entries_reduced(n, q, jordan):
+    """Gauss-Jordan through ``_eliminate``; plain echelon form through ``rank``'s loop."""
     rng = np.random.default_rng(q % 1000 + jordan)
+    if not jordan:  # echelon form is not unique: compare ranks and pivots
+        a = _rank_r(n, n, n - 9, q, rng)
+        want = _reference_eliminate(a.copy(), q, n, jordan=False)
+        assert linalg.rank(a, q) == want[0] == n - 9
+        assert linalg._pivot_loop(a, q, n, jordan=False)[:2] == want
+        assert a.min() >= 0 and a.max() < q
+        return
     a = np.concatenate([rng.integers(0, q, size=(n, n)), np.eye(n, dtype=np.int64)], 1)
     want = a.copy()
-    assert linalg._eliminate(a, q, n, jordan) == _reference_eliminate(want, q, n, jordan)
+    assert linalg._eliminate(a, q, n) == _reference_eliminate(want, q, n, jordan=True)
     assert a.min() >= 0 and a.max() < q
-    if jordan:  # reduced row-echelon form is unique; plain echelon form is not
-        assert np.array_equal(a, want)
+    assert np.array_equal(a, want)
+
+
+def test_eliminate_rejects_2_16_pivot_columns():
+    # int64 holds the unreduced updates of at most 2^10 panels of 64 columns
+    with pytest.raises(ValueError, match="65536 pivot columns"):
+        linalg._eliminate(np.zeros((1, 2**16), dtype=np.int64), FLOAT_Q, 2**16)
 
 
 @pytest.mark.parametrize("q", [2, 5, FLOAT_Q, 65537])

@@ -97,6 +97,24 @@ def test_trailing_garbage_rejected():
         simnet.decode_query(buf + b"\x00")
 
 
+@pytest.mark.parametrize("q", [11, 257, 65537, 2**61 - 1])
+@pytest.mark.parametrize("kind", ["query", "answer"])
+def test_every_prefix_and_overlong_message_raises_parse_error(q, kind):
+    """Each proper prefix, with and without a trailing 0xff, and the message plus a byte."""
+    if kind == "query":
+        decode = simnet.decode_query
+        buf = simnet.encode_query(np.arange(12).reshape(2, 6) % q, q, 2, 3)
+    else:
+        decode = simnet.decode_answer
+        buf = simnet.encode_answer(scheme.Answer(3, np.arange(5)), q)
+    bad = [buf[:k] for k in range(len(buf))]
+    bad += [buf[:k] + b"\xff" for k in range(len(buf) - 1)] + [buf + b"\x00"]
+    for b in bad:
+        with pytest.raises(simnet.ParseError) as exc:
+            decode(b)
+        assert exc.value.offset <= len(b)
+
+
 @pytest.mark.parametrize("q", QS)
 def test_width_matches_field_serialization(q):
     buf = simnet.encode_query(np.zeros((1, 1), dtype=np.int64), q, 1, 1)
