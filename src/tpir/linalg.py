@@ -18,8 +18,8 @@ plan or a query read from the wire, keeps its dtype until the product casts
 it.
 
 Inversion is a blocked Gauss-Jordan elimination: each panel of columns is
-pivoted by a small unblocked loop, and the other rows are updated by one
-exact product per panel, so the bulk of the work runs as BLAS products.
+pivoted by a small unblocked loop, and the other rows are updated by exact
+products, one per band of rows, so the bulk of the work runs as BLAS products.
 Those rows take the products unreduced and are never reduced between panels,
 as each product's entries are below 2^53 and there are at most 2^10 panels;
 only what pivoting reads is reduced on the way (the delayed reduction of
@@ -250,11 +250,11 @@ def _eliminate(a: np.ndarray, q: int, ncols: int):
     columns (rows from the first unpivoted one down) is pivoted by
     ``_pivot_loop``, its row swaps are replayed on ``a``, the panel's pivot
     rows are reduced and normalised by the inverse of their pivot-column
-    block, and every other row gets one rank-b update: the unreduced product
-    of its reduced multipliers and the pivot rows. Those rows are never
-    reduced between panels: a product's entries are below 2^53 (b*(q-1)^2
-    on the float path of ``_product``, residues on its limb path). With at
-    most ``_BLOCK`` pivot columns the unblocked loop runs on ``a`` directly.
+    block, and every other row, ``_BLOCK`` rows per product, takes the
+    unreduced product of its reduced multipliers and the pivot rows. These
+    rows are never reduced between panels: a product's entries are below
+    2^53 (b*(q-1)^2 on the float path of ``_product``, residues on its limb
+    path). With at most ``_BLOCK`` pivot columns ``_pivot_loop`` runs alone.
     """
     check_modulus(q)
     # int64 holds the updates of at most 2^10 panels, each below 2^53 per entry
@@ -280,8 +280,11 @@ def _eliminate(a: np.ndarray, q: int, ncols: int):
         block = np.concatenate([top[:, cols], np.eye(b, dtype=np.int64)], axis=1)
         _pivot_loop(block, q, b, jordan=True)
         top[...] = _product(block[:, b:], top, q) % q
+        # bands of _BLOCK rows: small temporaries of one size, which the heap reuses
         for rows in (a[:r, c0:], a[r + b :, c0:]):
-            rows -= _product(rows[:, cols] % q, top, q)
+            for i in range(0, len(rows), _BLOCK):
+                band = rows[i : i + _BLOCK]
+                band -= _product(band[:, cols] % q, top, q)
         pivots.extend(c0 + c for c in cols)
         r += b
     a %= q
@@ -304,7 +307,8 @@ def invert(a, q: int) -> np.ndarray:
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError(f"matrix not square: {a.shape}")
-    aug = np.concatenate([a % q, np.eye(n, dtype=np.int64)], axis=1)
+    aug = np.eye(n, 2 * n, n, dtype=np.int64)  # [a % q | I], with no n x n temporaries
+    np.remainder(a, q, out=aug[:, :n])
     r, _ = _eliminate(aug, q, n)
     if r < n:
         raise SingularMatrixError(r, n)
