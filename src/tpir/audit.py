@@ -430,12 +430,7 @@ def lemma1_exhaustive_check(alpha: int, beta: int, q: int) -> CheckResult:
     vector I of beta distinct row indices, exhaustively over (G, I).
     """
     name = f"lemma1_alpha{alpha}_beta{beta}_q{q}"
-    if not is_prime(q):
-        raise ValueError(f"q={q} is not prime")
-    if q ** (alpha * alpha) > 2**24:
-        raise ValueError(f"GL({alpha},{q}) too large to enumerate")
-    if not 1 <= beta <= alpha:
-        raise ValueError(f"need 1 <= beta <= alpha, got beta={beta}")
+    _check_lemma1_args(alpha, beta, q)
     s_all = np.stack(list(linalg.enumerate_full_rank(alpha, q)))
     reference = _row_multiset(s_all[:, :beta, :], q)
 
@@ -451,6 +446,16 @@ def lemma1_exhaustive_check(alpha: int, beta: int, q: int) -> CheckResult:
         name, True,
         {"gl_size": s_all.shape[0], "cases": len(g_all) * len(index_vectors)},
     )
+
+
+def _check_lemma1_args(alpha: int, beta: int, q: int) -> None:
+    """Raise ``ValueError`` for arguments ``lemma1_exhaustive_check`` cannot take."""
+    if not is_prime(q):
+        raise ValueError(f"q={q} is not prime")
+    if q ** (alpha * alpha) > 2**24:
+        raise ValueError(f"GL({alpha},{q}) too large to enumerate")
+    if not 1 <= beta <= alpha:
+        raise ValueError(f"need 1 <= beta <= alpha, got beta={beta}")
 
 
 def _row_multiset(stack: np.ndarray, q: int) -> dict[bytes, int]:
@@ -556,7 +561,11 @@ def run_audit(
     """Full audit of one parameter point; drives the CLI ``audit`` command.
 
     ``break_alignment`` checks plans broken by ``without_alignment`` instead.
+    ``lemma1`` arguments the exhaustive check cannot take raise
+    ``ValueError`` before any check runs.
     """
+    if lemma1 is not None:
+        _check_lemma1_args(*lemma1)
     p = params
     rng = np.random.default_rng(seed)
     checks = []

@@ -3,7 +3,7 @@
 Elements are represented canonically as integers in ``[0, q)``, held in numpy
 arrays; arithmetic on them is array work in :mod:`tpir.linalg` and
 :mod:`tpir.mds`. Query plans and elements read from the wire are held in the
-unsigned wire dtype of q's width (``element_dtype``: ``uint8`` to ``uint64``)
+unsigned wire dtype of q's width (``element_dtype``: ``uint8`` to ``uint32``)
 until arithmetic widens them; secrets, messages, code tables and the results
 of arithmetic are int64. This module chooses and checks the prime modulus,
 tests arrays for entries outside [0, q), and owns their fixed-width byte
@@ -66,18 +66,18 @@ def smallest_prime_geq(n: int) -> int:
 
 
 def element_width(q: int) -> int:
-    """Smallest of {1, 2, 4, 8} bytes that holds q - 1."""
-    for w in (1, 2, 4, 8):
+    """Smallest of {1, 2, 4} bytes that holds q - 1; a larger q raises ``ValueError``."""
+    for w in (1, 2, 4):
         if q - 1 < 1 << (8 * w):
             return w
-    raise ValueError(f"modulus {q} too large for 8-byte encoding")
+    raise ValueError(f"modulus {q} too large for 4-byte encoding")
 
 
-_WIRE_DTYPES = {w: np.dtype(f"<u{w}") for w in (1, 2, 4, 8)}
+_WIRE_DTYPES = {w: np.dtype(f"<u{w}") for w in (1, 2, 4)}
 
 
 def element_dtype(q: int) -> np.dtype:
-    """The unsigned little-endian wire dtype of q's width: ``<u1`` to ``<u8``."""
+    """The unsigned little-endian wire dtype of q's width: ``<u1`` to ``<u4``."""
     return _WIRE_DTYPES[element_width(q)]
 
 
@@ -95,12 +95,13 @@ def outside_field(values: np.ndarray, q: int) -> bool:
     """Whether an int64 or unsigned integer array has an entry outside [0, q).
 
     One max-reduction, no copy: int64 is read as uint64, where negative
-    entries are at least 2^63 and the others below it, so it is exact for any q.
+    entries are at least 2^63 and the others below it, so it is exact for
+    every q up to 2^63, beyond any modulus the wire or the arithmetic takes.
     """
     if values.size == 0:
         return False
     if values.dtype == np.int64:
-        values, q = values.view(np.uint64), min(q, 2**63)
+        values = values.view(np.uint64)
     return int(values.max()) >= q
 
 
@@ -121,13 +122,12 @@ def elements_from_bytes(buf: bytes, q: int, count: int, offset: int = 0) -> np.n
 
     Returned as a view of ``buf`` in the unsigned wire dtype of q's width, not
     copied into int64 (read-only when ``buf`` is ``bytes``); arithmetic widens
-    it where it needs to. Range-checked in that dtype, so a value int64 cannot
-    hold (2^63 or more) is rejected rather than wrapped negative.
+    it where it needs to. Range-checked in that dtype.
     """
     w = element_width(q)
     if len(buf) - offset != count * w:
         raise ValueError(f"expected {count * w} bytes, got {len(buf) - offset}")
     wire = np.frombuffer(buf, dtype=element_dtype(q), count=count, offset=offset)
-    if outside_field(wire, min(q, 2**63)):
+    if outside_field(wire, q):
         raise ValueError("encoded value outside [0, q)")
     return wire

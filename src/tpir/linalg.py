@@ -17,14 +17,14 @@ operand, not a ``% q`` copy. An unsigned integer operand, such as a query
 plan or a query read from the wire, keeps its dtype until the product casts
 it.
 
-Inversion is a blocked Gauss-Jordan elimination: each panel of columns is
-pivoted by a small unblocked loop, and the other rows are updated by exact
-products, one per band of rows, so the bulk of the work runs as BLAS products.
-Those rows take the products unreduced and are never reduced between panels,
-as each product's entries are below 2^53 and there are at most 2^10 panels;
-only what pivoting reads is reduced on the way (the delayed reduction of
-FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008). ``rank`` runs the
-unblocked loop alone.
+Inversion is a recursive in-place Gauss-Jordan elimination (Quintana,
+Quintana, Sun and van de Geijn, SIAM J. Sci. Comput. 22(5), 2001). Its
+columns are split in halves down to small leaves, each pivoted by an
+unblocked loop on its own columns, and each half's transform reaches the
+other half as one BLAS product. Columns not yet pivoted take those products
+unreduced; only what pivoting reads and what a product takes as an operand
+is reduced (the delayed reduction of FFLAS-FFPACK, Dumas, Giorgi and Pernet,
+ACM TOMS 2008). ``rank`` runs an unblocked loop of its own.
 
 Uniform elements of GL(n, q) are drawn through a unique factorisation, as a
 product of two random factors, with no elimination and no rejection of
@@ -186,12 +186,10 @@ def mat_mul(a, b, q: int) -> np.ndarray:
     return out
 
 
-def _pivot_loop(a: np.ndarray, q: int, ncols: int, jordan: bool):
-    """Unblocked elimination of ``a`` in place, one outer-product update per pivot.
+def _pivot_loop(a: np.ndarray, q: int, ncols: int):
+    """Unblocked Gaussian elimination of ``a`` in place; returns (rank, pivot column list).
 
-    Returns (rank, pivot column list, row swaps as (i, j) pairs in the order
-    they were made). Entries of the trailing matrix are left unreduced between
-    steps; only pivot rows and the active column are reduced, and a full
+    Rows below the pivot row are left unreduced between steps, and a full
     ``% q`` runs when int64 headroom would otherwise run out.
     """
     m = a.shape[0]
@@ -200,7 +198,6 @@ def _pivot_loop(a: np.ndarray, q: int, ncols: int, jordan: bool):
     steps = 0
     r = 0
     pivots = []
-    swaps = []
     for col in range(ncols):
         if r == m:
             break
@@ -212,81 +209,17 @@ def _pivot_loop(a: np.ndarray, q: int, ncols: int, jordan: bool):
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-            swaps.append((r, piv))
         a[r] %= q
         pinv = pow(int(a[r, col]), -1, q)
         a[r] = a[r] * pinv % q
-        if jordan:
-            factors = a[:, col] % q
-            factors[r] = 0
-            a -= np.outer(factors, a[r])
-        else:
-            factors = a[r + 1 :, col] % q
-            a[r + 1 :] -= np.outer(factors, a[r])
+        factors = a[r + 1 :, col] % q
+        a[r + 1 :] -= np.outer(factors, a[r])
         pivots.append(col)
         r += 1
         steps += 1
         if steps >= budget:
             a %= q
             steps = 0
-    a %= q
-    return r, pivots, swaps
-
-
-# Columns per panel of the blocked elimination.
-_BLOCK = 64
-
-
-def _eliminate(a: np.ndarray, q: int, ncols: int):
-    """In-place Gauss-Jordan elimination on ``a`` using pivots from its first ``ncols`` columns.
-
-    ``a`` must be reduced mod q, and q at most 2^31 (larger q raises
-    ``ValueError``). Returns (rank, pivot column list) and leaves ``a`` in
-    reduced row-echelon form, reduced mod q. All columns of ``a`` take part
-    in the row operations, so an augmented right-hand side is transformed
-    along with the pivot columns.
-
-    Right-looking and blocked: a reduced copy of each panel of ``_BLOCK``
-    columns (rows from the first unpivoted one down) is pivoted by
-    ``_pivot_loop``, its row swaps are replayed on ``a``, the panel's pivot
-    rows are reduced and normalised by the inverse of their pivot-column
-    block, and every other row, ``_BLOCK`` rows per product, takes the
-    unreduced product of its reduced multipliers and the pivot rows. These
-    rows are never reduced between panels: a product's entries are below
-    2^53 (b*(q-1)^2 on the float path of ``_product``, residues on its limb
-    path). With at most ``_BLOCK`` pivot columns ``_pivot_loop`` runs alone.
-    """
-    check_modulus(q)
-    # int64 holds the updates of at most 2^10 panels, each below 2^53 per entry
-    if ncols >= 2**16:
-        raise ValueError(f"{ncols} pivot columns: elimination here needs fewer than 2^16")
-    if ncols <= _BLOCK:
-        r, pivots, _ = _pivot_loop(a, q, ncols, jordan=True)
-        return r, pivots
-    m = a.shape[0]
-    r = 0
-    pivots = []
-    for c0 in range(0, ncols, _BLOCK):
-        if r == m:
-            break
-        panel = a[r:, c0 : min(c0 + _BLOCK, ncols)] % q
-        b, cols, swaps = _pivot_loop(panel, q, panel.shape[1], jordan=False)
-        if b == 0:
-            continue  # the panel is zero mod q from row r down
-        for i, j in swaps:
-            a[[r + i, r + j]] = a[[r + j, r + i]]
-        top = a[r : r + b, c0:]
-        top %= q
-        block = np.concatenate([top[:, cols], np.eye(b, dtype=np.int64)], axis=1)
-        _pivot_loop(block, q, b, jordan=True)
-        top[...] = _product(block[:, b:], top, q) % q
-        # bands of _BLOCK rows: small temporaries of one size, which the heap reuses
-        for rows in (a[:r, c0:], a[r + b :, c0:]):
-            for i in range(0, len(rows), _BLOCK):
-                band = rows[i : i + _BLOCK]
-                band -= _product(band[:, cols] % q, top, q)
-        pivots.extend(c0 + c for c in cols)
-        r += b
     a %= q
     return r, pivots
 
@@ -295,24 +228,91 @@ def rank(a, q: int) -> int:
     """Rank over GF(q) by Gaussian elimination in the unblocked loop, ``_pivot_loop``."""
     check_modulus(q)
     work = _as_array(a) % q
-    return _pivot_loop(work, q, work.shape[1], jordan=False)[0]
+    return _pivot_loop(work, q, work.shape[1])[0]
+
+
+# Widest leaf of the recursive inversion, in columns; leaves have _LEAF/2 to
+# _LEAF. At n = 256 and 625, widths from 24 to 48 took about the same time.
+_LEAF = 32
+
+
+def _leaf(w: np.ndarray, q: int, c0: int, c1: int, order: np.ndarray) -> bool:
+    """The unblocked in-place Gauss-Jordan loop on columns c0:c1 of ``w``; see ``invert``.
+
+    Column k's pivot is its first nonzero from row k down. Rows from c0 down
+    are eliminated on a reduced copy, whose entries fall by at most (q-1)^2 a
+    step: it is reduced every step only if (c1-c0)(q-1)^2 could reach 2^63.
+    Rows above c0 take -above @ B^-1, one product, B^-1 the rows c0:c1.
+    """
+    panel = w[c0:, c0:c1] % q
+    each_step = (c1 - c0) * (q - 1) ** 2 >= 2**63
+    for j in range(c1 - c0):
+        f = panel[:, j] % q
+        p = j + int(np.argmax(f[j:] != 0))
+        if f[p] == 0:
+            return False
+        if p != j:  # rows swapped whole, and in the copy f
+            for x, o in ((w, c0), (order, c0), (panel, 0), (f, 0)):
+                x[[o + j, o + p]] = x[[o + p, o + j]]
+        pinv = pow(int(f[j]), -1, q)
+        row = panel[j] % q * pinv % q
+        row[j] = pinv
+        f[j] = panel[:, j] = 0
+        panel -= f[:, None] * row
+        panel[j] = row
+        if each_step:
+            panel %= q
+    panel %= q
+    w[c0:, c0:c1] = panel
+    w[:c0, c0:c1] = -_product(w[:c0, c0:c1] % q, panel[: c1 - c0], q) % q
+    return True
+
+
+def _gauss_jordan(w: np.ndarray, q: int, c0: int, c1: int, order: np.ndarray) -> bool:
+    """Recursive in-place Gauss-Jordan elimination on columns c0:c1 of ``w``; see ``invert``.
+
+    A pivoted half holds T, its columns of the transform I + (T - E), E the
+    identity's there. The other half takes (T - E) @ top, top its rows there
+    reduced, as those rows zeroed plus T @ top: unreduced by the right half,
+    reduced by the left, which then holds its part of the transform.
+    """
+    if c1 - c0 <= _LEAF:
+        return _leaf(w, q, c0, c1, order)
+    m = (c0 + c1) // 2
+    for done, rest in ((slice(c0, m), slice(m, c1)), (slice(m, c1), slice(c0, m))):
+        if not _gauss_jordan(w, q, done.start, done.stop, order):
+            return False
+        top = w[done, rest] % q
+        w[done, rest] = 0
+        cols = w[:, rest]
+        cols += _product(w[:, done], top, q)
+    cols %= q  # the left half
+    return True
 
 
 def invert(a, q: int) -> np.ndarray:
-    """Inverse of a square matrix over GF(q).
+    """Inverse of a square matrix over GF(q), for q <= 2^31 (a larger q raises ``ValueError``).
 
-    Raises ``SingularMatrixError`` (carrying the rank found) if singular.
+    Raises ``SingularMatrixError``, carrying the rank of ``a``, if singular.
+
+    ``_gauss_jordan`` overwrites each pivot column of one residue copy of
+    ``a`` with its column of the transform. Rows are swapped whole, so the
+    copy ends as the inverse of the row-permuted ``a``, whose columns are
+    permuted back once. Product operands are residues, so a product's
+    entries are below 2^53 (float path of ``_product``) or q (limb path). An
+    entry takes at most one unreduced product per recursion level, and with
+    fewer than 64 levels stays below q + 2^59 < 2^63 for any n.
     """
+    check_modulus(q)
     a = _as_array(a)
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError(f"matrix not square: {a.shape}")
-    aug = np.eye(n, 2 * n, n, dtype=np.int64)  # [a % q | I], with no n x n temporaries
-    np.remainder(a, q, out=aug[:, :n])
-    r, _ = _eliminate(aug, q, n)
-    if r < n:
-        raise SingularMatrixError(r, n)
-    return aug[:, n:]
+    w = a % q if outside_field(a, q) else a.copy()
+    order = np.arange(n)
+    if not _gauss_jordan(w, q, 0, n, order):
+        raise SingularMatrixError(rank(a, q), n)
+    return w[:, np.argsort(order)]
 
 
 def solve(secret, y, q: int) -> np.ndarray:

@@ -22,6 +22,7 @@ import numpy as np
 from . import scheme
 from .field import element_width, elements_from_bytes, elements_to_bytes
 from .layout import SchemeParams, build_layout, total_download
+from .linalg import check_modulus
 
 __all__ = [
     "ParseError",
@@ -52,6 +53,7 @@ class ParseError(ValueError):
 
 
 def _header(kind: int, q: int) -> bytes:
+    check_modulus(q)  # the parser's rule, so that every message written parses
     return MAGIC + struct.pack("<BBBQ", WIRE_VERSION, kind, element_width(q), q)
 
 
@@ -76,8 +78,8 @@ def _parse(buf: bytes, kind: int, name: str, fields: str, count):
         raise ParseError(f"unsupported version {version}", 4)
     if got_kind != kind:
         raise ParseError(f"wrong message kind {got_kind}, expected {kind}", 5)
-    if q >= 2**63:
-        raise ParseError(f"modulus q={q} is not below 2^63", 7)
+    if q > 2**31:  # the rule of check_modulus
+        raise ParseError(f"modulus q={q} is above 2^31", 7)
     if q < 2 or width != element_width(q):
         raise ParseError(f"inconsistent field width {width} for q={q}", 6)
     off = _HEADER_LEN + struct.calcsize(fields)

@@ -241,6 +241,16 @@ def test_lemma1_guard():
         audit.lemma1_exhaustive_check(2, 3, 2)
 
 
+@pytest.mark.parametrize("lemma1", [(2, 1, 4), (4, 2, 7), (2, 3, 2)])
+def test_run_audit_checks_lemma1_args_before_any_check(monkeypatch, lemma1):
+    def no_secrets(*args, **kwargs):
+        raise AssertionError("the audit ran before its lemma-1 arguments were checked")
+
+    monkeypatch.setattr(scheme, "sample_secrets", no_secrets)
+    with pytest.raises(ValueError, match="not prime|too large|beta"):
+        audit.run_audit(SchemeParams(4, 5, 2, 7, q=2**31 - 1), trials=1, seed=1, lemma1=lemma1)
+
+
 def test_correctness_sweep_examples():
     rng = np.random.default_rng
     assert audit.correctness_sweep(SchemeParams(2, 3, 2, 3), trials=5, rng=rng(0)).passed

@@ -43,7 +43,10 @@ def test_element_width_breakpoints():
     assert field.element_width(2) == 1
     assert field.element_width(257) == 2
     assert field.element_width(65537) == 4
-    assert field.element_width(2**32 + 15) == 8
+    assert field.element_width(2**32) == 4
+    # 8-byte elements are not part of the wire format
+    with pytest.raises(ValueError, match="too large"):
+        field.element_width(2**32 + 15)
 
 
 def test_bytes_reject_out_of_range():
@@ -51,15 +54,22 @@ def test_bytes_reject_out_of_range():
     with pytest.raises(ValueError):
         field.elements_from_bytes(bytes([9]), 7, 1)
     assert field.elements_from_bytes(buf, 7, 1)[0] == 4
-    # 8-byte elements at or above 2^63 would wrap negative in int64
+    # a modulus that needs 8-byte elements is rejected before any is read,
+    # so no value of 2^63 or more can wrap negative in int64
     for value in (2**63, 2**64 - 1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="too large"):
             field.elements_from_bytes(value.to_bytes(8, "little"), 2**61 - 1, 1)
 
 
 @pytest.mark.parametrize("q", [5, 257, 65537, 2**61 - 1])
 def test_wire_values_stay_unsigned_and_reencode_unchanged(q):
     values = np.array([[0, 1, q - 1], [q - 2, 3, 2]], dtype=np.int64)
+    if q > 2**32:  # needs 8-byte elements: rejected both ways
+        with pytest.raises(ValueError, match="too large"):
+            field.elements_to_bytes(values, q)
+        with pytest.raises(ValueError, match="too large"):
+            field.elements_from_bytes(bytes(8 * values.size), q, values.size)
+        return
     buf = field.elements_to_bytes(values, q)
     wire = field.elements_from_bytes(buf, q, values.size)
     assert wire.dtype == np.dtype(f"<u{field.element_width(q)}")

@@ -113,7 +113,7 @@ def test_mat_mul_reduces_any_int64_operands_without_writing_them(abq):
 # (q, inner dimension), keyed by the range of inner * (q-1)^2: below 2^53,
 # where one float64 product is exact; below 2^63 only, where the product
 # runs on 16-bit limbs; and beyond int64, where q > 2^31 and mat_mul raises.
-_UNSIGNED_PATHS = {"float64": (877, 7), "int64": (134217689, 300), "object": (2**63 - 25, 4)}
+_UNSIGNED_PATHS = {"float64": (877, 7), "limbs": (134217689, 300), "rejected": (2**63 - 25, 4)}
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
@@ -334,9 +334,10 @@ def test_sampler_huge_dimension_smoke():
     assert linalg.rank(m, 65537) == 64
 
 
-# One prime per range of the blocked trailing update's 64-term inner
-# products: within float64's 53-bit mantissa (one float64 product), within
-# int64, and beyond it (both on 16-bit limbs).
+# One prime per range of 64-term inner products of residues: within
+# float64's 53-bit mantissa (one float64 product), within int64, and beyond
+# it (both on 16-bit limbs). A leaf of invert, at most 32 columns, reduces
+# once at its end at the first two and after every pivot at the third.
 FLOAT_Q, INT64_Q, OBJECT_Q = 877, 268435399, 1073741827
 
 
@@ -346,9 +347,9 @@ FLOAT_Q, INT64_Q, OBJECT_Q = 877, 268435399, 1073741827
      (625, 2**31 - 1)],
 )
 def test_invert_round_trip_blocked(n, q):
-    # 65: one panel plus a ragged one; 130 and 200: several panels; 625 at
-    # the largest modulus: ten panels of limb products that are never reduced
-    # between panels
+    # 65: two leaves; 130 and 200: two and three levels of halves; 625 at
+    # the largest modulus: five levels of limb products, whose columns not
+    # yet pivoted are not reduced between levels
     a = linalg.sample_uniform_full_rank(n, q, np.random.default_rng(n))
     inv = linalg.invert(a, q)
     eye = np.eye(n, dtype=np.int64)
@@ -382,14 +383,101 @@ def test_rank_of_built_rank_r_matrices(q, m, n, r, zero_cols):
     assert linalg.rank(a.T, q) == r
 
 
+def _reference_inverse(a, q):
+    """The right half of [a | I] after the unblocked reference loop, and the rank it found."""
+    n = a.shape[0]
+    aug = np.concatenate([a % q, np.eye(n, dtype=np.int64)], axis=1)
+    return aug[:, n:], _reference_eliminate(aug, q, n, jordan=True)[0]
+
+
+def _zero_lead(n, k, q, rng):
+    """An invertible n x n matrix whose leading k x k block is zero (2k <= n).
+
+    Block rows and columns (k, k, n - 2k): [[0, I, 0], [I, X, X], [0, X, S]]
+    with S invertible and X uniform, so the determinant is +-det(S).
+    """
+    a = rng.integers(0, q, size=(n, n))
+    a[:k] = a[:, :k] = 0
+    a[:k, k : 2 * k] = a[k : 2 * k, :k] = np.eye(k, dtype=np.int64)
+    if n > 2 * k:
+        a[2 * k :, 2 * k :] = linalg.sample_uniform_full_rank(n - 2 * k, q, rng)
+    return a
+
+
 @pytest.mark.parametrize("q", [2, FLOAT_Q, INT64_Q])
 def test_blocked_rref_matches_unblocked_loop(q):
-    a = _rank_r(150, 260, 120, q, np.random.default_rng(q), slice(64, 140))
-    blocked, reference = a.copy(), a.copy()
-    got = linalg._eliminate(blocked, q, 260)
-    want = linalg._pivot_loop(reference, q, 260, jordan=True)[:2]
-    assert got == want
-    assert np.array_equal(blocked, reference)
+    # invert, pivoted leaf by leaf, against the unblocked loop on [a | I]:
+    # the leading 70 x 70 block is zero, so each of the first 70 pivots,
+    # over several leaves and both quarters of the left half, comes from a
+    # row below it
+    a = _zero_lead(260, 70, q, np.random.default_rng(q))
+    want, r = _reference_inverse(a, q)
+    assert r == 260
+    assert np.array_equal(linalg.invert(a, q), want)
+
+
+def _structured(kind, n, q, rng):
+    """An invertible n x n matrix of one of the shapes that steer invert's pivoting."""
+    diag = np.diag(rng.integers(1, q, size=n))
+    upper = np.triu(rng.integers(0, q, size=(n, n)), 1) + diag
+    return {
+        "permutation": lambda: np.eye(n, dtype=np.int64)[rng.permutation(n)],
+        "upper": lambda: upper,
+        "lower": lambda: upper.T,
+        # the leading leaf's block, then the leading half's, is zero
+        "zero-leaf": lambda: _zero_lead(n, min(linalg._LEAF, n // 2), q, rng),
+        "zero-half": lambda: _zero_lead(n, n // 2, q, rng),
+        "uniform": lambda: linalg.sample_uniform_full_rank(n, q, rng),
+    }[kind]()
+
+
+# n = 1, below one leaf, one leaf, and sizes that split into uneven halves;
+# a 1 x 1 invertible matrix has no zero leading block
+STRUCTURED = [
+    (kind, n)
+    for kind in ("permutation", "upper", "lower", "zero-leaf", "zero-half", "uniform")
+    for n in (1, 5, 32, 97, 200)
+    if n > 1 or not kind.startswith("zero")
+]
+
+
+# LIMB_QS: at 1048573 the products run on float64 and are exact only while
+# their operands are residues; at 2^31 - 1 they run on limbs and the leaves
+# reduce after every pivot
+@pytest.mark.parametrize("q", [2, FLOAT_Q, *LIMB_QS])
+@pytest.mark.parametrize("kind,n", STRUCTURED)
+def test_invert_matches_reference_on_structured_matrices(kind, n, q):
+    a = _structured(kind, n, q, np.random.default_rng([n, q % 1000]))
+    want, r = _reference_inverse(a, q)
+    assert r == n
+    a0 = a.copy()
+    got = linalg.invert(a, q)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert np.array_equal(a, a0)
+
+
+@pytest.mark.parametrize("q", [2, FLOAT_Q, 2**31 - 1])
+@pytest.mark.parametrize("n,dependent", [(1, 1), (5, 2), (97, 1), (200, 3)])
+def test_invert_singular_only_in_last_leaf_reports_the_rank(n, dependent, q):
+    # the last ``dependent`` columns are combinations of the others, so every
+    # leaf but the last pivots in full and the last finds a column without
+    # a pivot
+    rng = np.random.default_rng([n, dependent, q % 1000])
+    a = linalg.sample_uniform_full_rank(n, q, rng)
+    a[:, n - dependent :] = linalg.mat_mul(
+        a[:, : n - dependent], rng.integers(0, q, size=(n - dependent, dependent)), q
+    )
+    assert linalg.rank(a, q) == _reference_inverse(a, q)[1] == n - dependent
+    with pytest.raises(linalg.SingularMatrixError) as exc:
+        linalg.invert(a, q)
+    assert (exc.value.rank, exc.value.size) == (n - dependent, n)
+
+
+def test_invert_takes_unreduced_entries():
+    q = FLOAT_Q
+    a = linalg.sample_uniform_full_rank(100, q, np.random.default_rng(3))
+    shifted = a + q * np.random.default_rng(4).integers(-(2**40), 2**40, size=a.shape)
+    assert np.array_equal(linalg.invert(shifted, q), linalg.invert(a, q))
 
 
 # SHA-256 prefixes of each draw's bytes followed by the generator's next
@@ -553,11 +641,10 @@ def _reference_eliminate(a, q, ncols, jordan):
     return r, pivots
 
 
-# The largest prime with 64 * (q-1)^2 < 2^63. At n = 448 (seven panels)
-# the blocked elimination runs on limb products and takes seven updates with
-# no reduction between them, and the unblocked loop of ``rank``, which
-# defers at most 2^62 / (q-1)^2 = 32 steps, has to reduce. At n = 200 (four
-# panels) every range of inner products runs.
+# The largest prime with 64 * (q-1)^2 < 2^63. At n = 448 invert runs on limb
+# products and its leaves, 28 columns wide, reduce only at their end, and the
+# unblocked loop of ``rank``, which defers at most 2^62 / (q-1)^2 = 32 steps,
+# has to reduce. At n = 200 every range of inner products runs.
 INT64_EDGE_Q = 379625047
 
 
@@ -566,26 +653,21 @@ INT64_EDGE_Q = 379625047
 )
 @pytest.mark.parametrize("jordan", [False, True])
 def test_eliminate_leaves_entries_reduced(n, q, jordan):
-    """Gauss-Jordan through ``_eliminate``; plain echelon form through ``rank``'s loop."""
+    """Gauss-Jordan through ``invert``; plain echelon form through ``rank``'s loop."""
     rng = np.random.default_rng(q % 1000 + jordan)
     if not jordan:  # echelon form is not unique: compare ranks and pivots
         a = _rank_r(n, n, n - 9, q, rng)
         want = _reference_eliminate(a.copy(), q, n, jordan=False)
         assert linalg.rank(a, q) == want[0] == n - 9
-        assert linalg._pivot_loop(a, q, n, jordan=False)[:2] == want
+        assert linalg._pivot_loop(a, q, n) == want
         assert a.min() >= 0 and a.max() < q
         return
-    a = np.concatenate([rng.integers(0, q, size=(n, n)), np.eye(n, dtype=np.int64)], 1)
-    want = a.copy()
-    assert linalg._eliminate(a, q, n) == _reference_eliminate(want, q, n, jordan=True)
-    assert a.min() >= 0 and a.max() < q
-    assert np.array_equal(a, want)
-
-
-def test_eliminate_rejects_2_16_pivot_columns():
-    # int64 holds the unreduced updates of at most 2^10 panels of 64 columns
-    with pytest.raises(ValueError, match="65536 pivot columns"):
-        linalg._eliminate(np.zeros((1, 2**16), dtype=np.int64), FLOAT_Q, 2**16)
+    a = linalg.sample_uniform_full_rank(n, q, rng)
+    want, r = _reference_inverse(a, q)
+    assert r == n
+    got = linalg.invert(a, q)
+    assert got.min() >= 0 and got.max() < q
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("q", [2, 5, FLOAT_Q, 65537])

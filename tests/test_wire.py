@@ -1,5 +1,7 @@
 """Wire codec round-trips and corruption handling."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,13 +103,16 @@ def test_trailing_garbage_rejected():
 @pytest.mark.parametrize("kind", ["query", "answer"])
 def test_every_prefix_and_overlong_message_raises_parse_error(q, kind):
     """Each proper prefix, with and without a trailing 0xff, and the message plus a byte."""
+    valid_q = q if q <= 2**31 else 65537
     if kind == "query":
         decode = simnet.decode_query
-        buf = simnet.encode_query(np.arange(12).reshape(2, 6) % q, q, 2, 3)
+        buf = simnet.encode_query(np.arange(12).reshape(2, 6) % valid_q, valid_q, 2, 3)
     else:
         decode = simnet.decode_answer
-        buf = simnet.encode_answer(scheme.Answer(3, np.arange(5)), q)
-    bad = [buf[:k] for k in range(len(buf))]
+        buf = simnet.encode_answer(scheme.Answer(3, np.arange(5)), valid_q)
+    if q != valid_q:  # above 2^31 the message itself is rejected, at its modulus
+        buf = buf[:7] + q.to_bytes(8, "little") + buf[15:]
+    bad = [buf[:k] for k in range(len(buf) + (q != valid_q))]
     bad += [buf[:k] + b"\xff" for k in range(len(buf) - 1)] + [buf + b"\x00"]
     for b in bad:
         with pytest.raises(simnet.ParseError) as exc:
@@ -121,30 +126,62 @@ def test_width_matches_field_serialization(q):
     assert buf[6] == element_width(q)
 
 
-# At q = 2^61 - 1 elements take 8 bytes, so the wire can carry values of 2^63
-# and more, which an int64 cast would wrap to negative numbers.
+# Only a modulus of 2^61 - 1 or so would need 8-byte elements, which could
+# carry values of 2^63 and more that an int64 cast would wrap to negative
+# numbers. Such a message, written by hand as no encoder writes it, is
+# rejected at its modulus before any element is read.
 _Q61 = 2**61 - 1
 _TOO_BIG = (2**63).to_bytes(8, "little") + (5).to_bytes(8, "little")
 
 
+def _eight_byte_message(kind, fields):
+    return simnet.MAGIC + struct.pack("<BBBQ", simnet.WIRE_VERSION, kind, 8, _Q61) + fields
+
+
 def test_query_values_of_2_63_rejected():
-    buf = simnet.encode_query(np.array([[1, 5]]), _Q61, 1, 2)
-    with pytest.raises(ValueError, match="outside"):
-        simnet.decode_query(buf[: -len(_TOO_BIG)] + _TOO_BIG)
+    buf = _eight_byte_message(simnet._KIND_QUERY, struct.pack("<III", 1, 2, 1) + _TOO_BIG)
+    with pytest.raises(simnet.ParseError, match=f"q={_Q61}") as exc:
+        simnet.decode_query(buf)
+    assert exc.value.offset == 7
 
 
 def test_answer_values_of_2_63_rejected():
-    buf = simnet.encode_answer(scheme.Answer(0, np.array([1, 5])), _Q61)
-    with pytest.raises(ValueError, match="outside"):
-        simnet.decode_answer(buf[: -len(_TOO_BIG)] + _TOO_BIG)
+    buf = _eight_byte_message(simnet._KIND_ANSWER, struct.pack("<II", 0, 2) + _TOO_BIG)
+    with pytest.raises(simnet.ParseError, match=f"q={_Q61}") as exc:
+        simnet.decode_answer(buf)
+    assert exc.value.offset == 7
+
+
+def _with_modulus(q):
+    """A valid answer and query at 2^31 - 1, each with its modulus field set to q."""
+    answer = simnet.encode_answer(scheme.Answer(0, np.array([5])), 2**31 - 1)
+    query = simnet.encode_query(np.array([[1, 5]]), 2**31 - 1, 1, 2)
+    return [
+        (buf[:7] + q.to_bytes(8, "little") + buf[15:], decode)
+        for buf, decode in ((answer, simnet.decode_answer), (query, simnet.decode_query))
+    ]
 
 
 @pytest.mark.parametrize("q", [2**63, 2**64 - 59])
 def test_modulus_int64_cannot_hold_rejected_at_its_offset(q):
-    # the width byte is 8 for these q too, but no int64 array holds their field
-    answer = simnet.encode_answer(scheme.Answer(0, np.array([5])), _Q61)
-    query = simnet.encode_query(np.array([[1, 5]]), _Q61, 1, 2)
-    for buf, decode in ((answer, simnet.decode_answer), (query, simnet.decode_query)):
+    for buf, decode in _with_modulus(q):
         with pytest.raises(simnet.ParseError, match=f"q={q}") as exc:
-            decode(buf[:7] + q.to_bytes(8, "little") + buf[15:])
+            decode(buf)
         assert exc.value.offset == 7
+
+
+@pytest.mark.parametrize("q", [2**31 + 1, 2**32, 2**32 + 15, _Q61])
+def test_modulus_above_2_31_rejected_at_its_offset(q):
+    # the one modulus rule of linalg.check_modulus, applied at the wire
+    for buf, decode in _with_modulus(q):
+        with pytest.raises(simnet.ParseError, match=f"q={q} is above 2\\^31") as exc:
+            decode(buf)
+        assert exc.value.offset == 7
+    # and no such message is written
+    with pytest.raises(ValueError, match=f"q={q} too large"):
+        simnet.encode_answer(scheme.Answer(0, np.array([5])), q)
+    with pytest.raises(ValueError, match=f"q={q} too large"):
+        simnet.encode_query(np.array([[1, 5]]), q, 1, 2)
+    # 2^31 itself is in range; the parser does not test primality
+    (_, q_answer), (_, q_query, _, _) = (decode(buf) for buf, decode in _with_modulus(2**31))
+    assert q_answer == q_query == 2**31
