@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg, mds, scheme
 from .field import elements_to_bytes, is_prime
-from .layout import SchemeParams, build_layout, total_download
+from .layout import SchemeParams, build_layout
 
 __all__ = [
     "CheckResult",
@@ -40,7 +40,6 @@ __all__ = [
     "empirical_privacy_check",
     "lemma1_exhaustive_check",
     "correctness_sweep",
-    "rate_vs_capacity_grid",
     "capacity_shape_check",
     "run_audit",
 ]
@@ -263,10 +262,10 @@ def _chunk_keys(matrices, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's canonical bytes and support mask, one row per sample.
 
     ``matrices`` are the colluding databases' (samples, D, K*L) plan stacks,
-    in database order. Row s of the first array is sample s's matrices as
-    ``linalg.serialize_matrix`` writes them (the ``<II`` shape header, then
-    the wire-dtype elements), one after another; row s of the second is
-    their zero/nonzero patterns, each packed into whole bytes.
+    in database order. Row s of the first array is sample s's matrices one
+    after another, each as its row and column counts in 4-byte little-endian
+    (``<II``) and then its elements in wire-dtype bytes; row s of the second
+    is their zero/nonzero patterns, each packed into whole bytes.
     """
     count = matrices[0].shape[0]
     values, masks = [], []
@@ -427,18 +426,20 @@ def lemma1_exhaustive_check(alpha: int, beta: int, q: int) -> CheckResult:
 
     Over all S in GL(alpha, q), the multiset {G @ S[I, :]} must equal the
     multiset {S[:beta, :]} for every invertible beta x beta G and every
-    vector I of beta distinct row indices, exhaustively over (G, I).
+    vector I of beta distinct row indices, exhaustively over (G, I). Both
+    groups come from ``linalg.enumerate_full_rank``, and a multiset is
+    compared as its matrices, flattened to rows, in lexicographic order.
     """
     name = f"lemma1_alpha{alpha}_beta{beta}_q{q}"
     _check_lemma1_args(alpha, beta, q)
-    s_all = np.stack(list(linalg.enumerate_full_rank(alpha, q)))
-    reference = _row_multiset(s_all[:, :beta, :], q)
+    s_all = linalg.enumerate_full_rank(alpha, q)
+    reference = _sorted_rows(s_all[:, :beta, :])
 
-    g_all = list(linalg.enumerate_full_rank(beta, q))
+    g_all = linalg.enumerate_full_rank(beta, q)
     index_vectors = [list(v) for v in itertools.permutations(range(alpha), beta)]
     for (gi, g), ivec in itertools.product(enumerate(g_all), index_vectors):
         transformed = np.einsum("ij,sjk->sik", g, s_all[:, ivec, :]) % q
-        if _row_multiset(transformed, q) != reference:
+        if not np.array_equal(_sorted_rows(transformed), reference):
             return CheckResult(
                 name, False, {"G_index": gi, "index_vector": ivec}
             )
@@ -458,12 +459,10 @@ def _check_lemma1_args(alpha: int, beta: int, q: int) -> None:
         raise ValueError(f"need 1 <= beta <= alpha, got beta={beta}")
 
 
-def _row_multiset(stack: np.ndarray, q: int) -> dict[bytes, int]:
-    counts: dict[bytes, int] = {}
-    for s in stack:
-        key = np.ascontiguousarray(s % q).tobytes()
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _sorted_rows(stack: np.ndarray) -> np.ndarray:
+    """The stack's matrices, each flattened to one row, in lexicographic order."""
+    rows = stack.reshape(len(stack), -1)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def correctness_sweep(
@@ -507,22 +506,6 @@ def correctness_sweep(
         name, True,
         {"trials": trials, "subsets": len(subsets), "decodes": p.K * len(subsets) * trials},
     )
-
-
-def rate_vs_capacity_grid(grid) -> list[dict]:
-    """Achieved rate vs the capacity formula, exactly, per grid point."""
-    rows = []
-    for params in grid:
-        rate = scheme.achieved_rate(params)
-        cap = capacity(params.K, params.N, params.T)
-        rows.append(
-            {
-                "K": params.K, "N": params.N, "T": params.T, "M": params.M,
-                "download": total_download(params),
-                "rate": rate, "capacity": cap, "equal": rate == cap,
-            }
-        )
-    return rows
 
 
 def capacity_shape_check() -> CheckResult:

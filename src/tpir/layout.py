@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "Block",
     "BlockLayout",
     "build_layout",
-    "per_layer_counts",
     "per_db_download",
     "total_download",
     "max_code_length",
@@ -219,7 +217,7 @@ class BlockLayout:
                     f"S{k}[{lo}:{hi}]" for k, (lo, hi) in sorted(b.secret_rows.items())
                 )
             lines.append(f"{name:<16}{b.alpha:>6}{b.block_len:>6}{b.per_db_len:>7}  {role}")
-        lines.append(f"per-database total: {self.per_db} of {total_download(p)} overall")
+        lines.append(f"per-database total: {self.per_db} of {self.per_db * p.N} overall")
         return "\n".join(lines)
 
 
@@ -280,25 +278,9 @@ def build_layout(params: SchemeParams, desired: int) -> BlockLayout:
     return layout
 
 
-def per_layer_counts(params: SchemeParams) -> list[dict]:
-    """Per-database equation counts by layer j (blocks of size j)."""
-    K, N, T = params.K, params.N, params.T
-    table = []
-    for j in range(1, K + 1):
-        unit = (N - T) ** (j - 1) * T ** (K - j)
-        table.append(
-            {
-                "layer": j,
-                "total": unit * comb(K, j),
-                "desired_touching": unit * comb(K - 1, j - 1),
-            }
-        )
-    return table
-
-
 def per_db_download(params: SchemeParams) -> int:
-    """Symbols each database serves: (N^K - T^K) / (N - T), or K*N^(K-1) at T=N."""
-    return sum(row["total"] for row in per_layer_counts(params))
+    """Symbols each database serves: its rows in the layout, the same for every desired index."""
+    return build_layout(params, 0).per_db
 
 
 def total_download(params: SchemeParams) -> int:

@@ -26,21 +26,21 @@ unreduced; only what pivoting reads and what a product takes as an operand
 is reduced (the delayed reduction of FFLAS-FFPACK, Dumas, Giorgi and Pernet,
 ACM TOMS 2008). ``rank`` runs an unblocked loop of its own.
 
-Uniform elements of GL(n, q) are drawn through a unique factorisation, as a
-product of two random factors, with no elimination and no rejection of
-singular draws (D. Randall, "Efficient generation of random nonsingular
-matrices", Random Structures & Algorithms 4(1), 1993).
+GL(n, q) has one construction here: each element is the product of exactly
+one pair of factors (D. Randall, "Efficient generation of random nonsingular
+matrices", Random Structures & Algorithms 4(1), 1993). Uniform elements are
+drawn as a product of two random factors, with no elimination and no
+rejection of singular draws; the whole group, at small sizes, is the product
+of every pair. Both go through one function, ``_factor_product``.
 """
 
 from __future__ import annotations
 
 import itertools
-import struct
-from typing import Iterator
 
 import numpy as np
 
-from .field import as_elements, elements_to_bytes, outside_field
+from .field import as_elements, outside_field
 
 __all__ = [
     "SingularMatrixError",
@@ -51,8 +51,6 @@ __all__ = [
     "solve",
     "sample_uniform_full_rank",
     "enumerate_full_rank",
-    "count_full_rank",
-    "serialize_matrix",
 ]
 
 
@@ -367,17 +365,16 @@ def sample_uniform_full_rank(
     stack = () if count is None else (count,)
     draws = 1 if count is None else count
     shape = stack + (r, n)
-    i = np.arange(n)
-    # row k's n - k values, left-aligned; a mask of v's full shape keeps
-    # numpy on its boolean fast path, with no index arrays. It is made
+    # row k's n - k values, left-aligned; a boolean mask of v's full shape
+    # keeps numpy on its boolean fast path, with no index arrays. It is made
     # before v: the other order raised the peak resident memory of a
     # 625 x 625 draw by about 1.4 MB.
-    drawn = np.broadcast_to(i[:r, None] + i < n, shape)
+    drawn = np.broadcast_to(_left_aligned(r, n), shape)
     v = np.zeros(shape, dtype=np.int64)
     vals = rng.integers(0, q, size=draws * n * (n + 1) // 2, dtype=np.int64)
     unread = []  # all-zero rows past r, as (draw, row)
     if r < n:
-        kept, past = r * n - r * (r - 1) // 2, i[r:]  # values of rows < r; rows past r
+        kept, past = r * n - r * (r - 1) // 2, np.arange(r, n)  # values of rows < r; rows past r
         starts = past * n - past * (past - 1) // 2 - kept  # of each row past r's values
         vals = vals.reshape(draws, -1)
         zero = ~np.logical_or.reduceat(vals[:, kept:] != 0, starts, axis=1)
@@ -392,10 +389,38 @@ def sample_uniform_full_rank(
         row = flat[d, k] if k < r else np.zeros(n, dtype=np.int64)
         while not row.any():
             row[: n - k] = rng.integers(0, q, size=n - k, dtype=np.int64)
+    # C's entries in rows < r, passed unnamed so that _factor_product frees
+    # them before its product
+    return _factor_product(
+        v,
+        drawn,
+        rng.integers(0, q, size=draws * n * (n - 1) // 2, dtype=np.int64)
+        .reshape(draws, -1)[:, : r * (r - 1) // 2]
+        .reshape(stack + (-1,)),
+        q,
+    )
+
+
+def _left_aligned(r: int, n: int) -> np.ndarray:
+    """An r x n boolean mask whose row k is true in its first n - k columns."""
+    return np.tri(r, n, n - r, dtype=bool)[::-1]
+
+
+def _factor_product(v: np.ndarray, drawn: np.ndarray, below: np.ndarray, q: int) -> np.ndarray:
+    """C @ V mod q, for the factors of ``sample_uniform_full_rank``, from their free entries.
+
+    ``v`` is a (..., r, n) stack whose row k holds V's row k left-aligned:
+    its n - k values, not all zero, in its first n - k columns, where
+    ``drawn``, ``_left_aligned(r, n)`` broadcast to v's shape, is true. It
+    is overwritten with V. ``below`` holds C's r(r-1)/2 below-diagonal
+    entries along its last axis, in row-major order; its other axes
+    broadcast against v's stack axes, as the product's operands do.
+    """
+    *stack, r, n = v.shape
     # lead[..., j] is the row whose leading entry sits in column j (r where
-    # no kept row's does), so row k writes its values into the columns j
-    # with lead[..., j] >= k, in column order
-    lead = np.full(stack + (n,), r, dtype=np.int64)
+    # no row's does), so row k writes its values into the columns j with
+    # lead[..., j] >= k, in column order
+    lead = np.full((*stack, n), r, dtype=np.int64)
     firsts = (v != 0).argmax(axis=-1).reshape(-1, r).tolist()
     for out, first in zip(lead.reshape(-1, n), firsts):
         free = list(range(n))
@@ -403,37 +428,40 @@ def sample_uniform_full_rank(
             out[free.pop(p)] = k
     values = v[drawn]
     v[...] = 0
-    v[lead[..., None, :] >= i[:r, None]] = values
-    c = np.zeros(stack + (r, r), dtype=np.int64)
-    c[..., i[:r], i[:r]] = 1
-    c[np.broadcast_to(i[:r, None] > i[:r], c.shape)] = rng.integers(
-        0, q, size=draws * n * (n - 1) // 2, dtype=np.int64
-    ).reshape(draws, -1)[:, : r * (r - 1) // 2].reshape(-1)
+    v[lead[..., None, :] >= np.arange(r)[:, None]] = values
+    c = np.zeros(below.shape[:-1] + (r, r), dtype=np.int64)
+    diagonal = np.arange(r)
+    c[..., diagonal, diagonal] = 1
+    c[np.broadcast_to(np.tri(r, k=-1, dtype=bool), c.shape)] = below.reshape(-1)
+    del below  # held through the product, it raised a 625 x 625 draw's peak by 1.5 MB
     out = _product(c, v, q)  # both factors are residues: no range test
     out %= q
     return out
 
 
-def count_full_rank(n: int, q: int) -> int:
-    """|GL(n, q)| = prod_{i} (q^n - q^i)."""
-    return int(np.prod([q**n - q**i for i in range(n)], dtype=object))
+def enumerate_full_rank(n: int, q: int) -> np.ndarray:
+    """Every element of GL(n, q) exactly once, as a (|GL(n, q)|, n, n) stack.
 
-
-def enumerate_full_rank(n: int, q: int) -> Iterator[np.ndarray]:
-    """Yield every element of GL(n, q) exactly once (lexicographic row order).
-
+    The elements are C @ V for every pair of the factors that
+    ``sample_uniform_full_rank`` draws, each pair giving a distinct element:
+    every choice of V's nonzero rows is placed once, and every choice of C's
+    below-diagonal entries is broadcast against them. The stack runs over
+    C's choices, then V's, each in lexicographic order of the free entries.
     Guarded to instances with q^(n^2) <= 2^24.
     """
     if q ** (n * n) > 2**24:
         raise ValueError(f"GL({n},{q}) enumeration too large: q^(n^2) > 2^24")
-    vectors = [np.array(v, dtype=np.int64) for v in itertools.product(range(q), repeat=n)]
-    for combo in itertools.product(vectors, repeat=n):
-        m = np.stack(combo)
-        if rank(m, q) == n:
-            yield m
+    rows = [_vectors(q, n - k)[1:] for k in range(n)]  # row k's nonzero values
+    choice = np.indices([len(x) for x in rows]).reshape(n, -1)
+    v = np.zeros((choice.shape[1], n, n), dtype=np.int64)
+    for k, x in enumerate(rows):
+        v[:, k, : n - k] = x[choice[k]]
+    drawn = np.broadcast_to(_left_aligned(n, n), v.shape)
+    below = _vectors(q, n * (n - 1) // 2)[:, None]  # broadcast against every v
+    return _factor_product(v, drawn, below, q).reshape(-1, n, n)
 
 
-def serialize_matrix(a, q: int) -> bytes:
-    """rows, cols as 4-byte little-endian counts, then row-major elements."""
-    a = _as_array(a)
-    return struct.pack("<II", a.shape[0], a.shape[1]) + elements_to_bytes(a, q)
+def _vectors(q: int, length: int) -> np.ndarray:
+    """Every vector of GF(q)^length, one per row, in lexicographic order."""
+    vectors = list(itertools.product(range(q), repeat=length))
+    return np.array(vectors, dtype=np.int64).reshape(len(vectors), length)

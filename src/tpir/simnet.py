@@ -21,7 +21,7 @@ import numpy as np
 
 from . import scheme
 from .field import element_width, elements_from_bytes, elements_to_bytes
-from .layout import SchemeParams, build_layout, total_download
+from .layout import SchemeParams, build_layout
 from .linalg import check_modulus
 
 __all__ = [
@@ -238,7 +238,7 @@ def run_session(
     )
     metrics = {
         "downloaded_symbols": sum(len(answers[i].values) for i in range(p.N)),
-        "expected_download": total_download(p),
+        "expected_download": p.N * layout.per_db,
         "upload_bytes": sum(len(b) for b in query_bytes.values()),
         "download_bytes": sum(len(answer_bytes[m]) for m in used),
         "wall_time": wall,

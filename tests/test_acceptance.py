@@ -5,6 +5,7 @@ wall-clock checks so a performance regression fails loudly.
 """
 
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -52,12 +53,20 @@ def test_1_golden_rates():
 
 def test_2_general_grid_rate_equals_capacity():
     t0 = time.perf_counter()
-    rows = audit.rate_vs_capacity_grid(list(grid_params()))
-    assert all(r["equal"] for r in rows), [r for r in rows if not r["equal"]]
-    # M-independence: one rate per (K, N, T) regardless of M
+    points = list(grid_params())
     per_knt = {}
-    for r in rows:
-        per_knt.setdefault((r["K"], r["N"], r["T"]), set()).add(r["rate"])
+    for p in points:
+        # the download the layout plans, against the closed form of its
+        # blocks: C(K, j) blocks of size j, (N-T)^(j-1) T^(K-j) rows each per database
+        per_db = sum(
+            math.comb(p.K, j) * (p.N - p.T) ** (j - 1) * p.T ** (p.K - j)
+            for j in range(1, p.K + 1)
+        )
+        assert total_download(p) == p.N * per_db, p
+        rate = scheme.achieved_rate(p)
+        assert rate == Fraction(p.L, p.N * per_db) == audit.capacity(p.K, p.N, p.T), p
+        per_knt.setdefault((p.K, p.N, p.T), set()).add(rate)
+    # M-independence: one rate per (K, N, T) regardless of M
     assert all(len(v) == 1 for v in per_knt.values())
     # closed forms
     for (K, N, T), rates in per_knt.items():
@@ -69,7 +78,7 @@ def test_2_general_grid_rate_equals_capacity():
             assert rate == (1 - r) / (1 - r**K)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    report("criterion 2 grid rates", f"{len(rows)} points exact", elapsed, 30)
+    report("criterion 2 grid rates", f"{len(points)} points exact", elapsed, 30)
 
 
 def test_3_correctness_sweep():

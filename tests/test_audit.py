@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import os
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from scipy import stats
 
 import tpir
-from tpir import audit, layout, linalg, mds, scheme
+from tpir import audit, field, layout, linalg, mds, scheme
 from tpir.layout import SchemeParams
 
 
@@ -229,9 +230,23 @@ def test_structural_privacy_names_the_subset_of_a_wrong_inverse(monkeypatch, vie
 
 
 def test_lemma1_small_exhaustive():
-    for alpha, beta, q in [(2, 1, 2), (2, 2, 2), (3, 2, 2), (3, 3, 2), (2, 2, 3)]:
+    points = [
+        (2, 1, 2, 6), (2, 2, 2, 6), (3, 2, 2, 168), (3, 3, 2, 168), (2, 2, 3, 48),
+        (4, 2, 2, 20160), (3, 2, 3, 11232),
+    ]
+    for alpha, beta, q, gl_size in points:
         res = audit.lemma1_exhaustive_check(alpha, beta, q)
         assert res.passed, (alpha, beta, q, res.details)
+        assert res.details["gl_size"] == gl_size
+
+
+@pytest.mark.parametrize("alpha,beta,q", [(2, 1, 3), (3, 2, 2), (2, 2, 3)])
+def test_lemma1_rejects_a_group_missing_one_element(monkeypatch, alpha, beta, q):
+    full = linalg.enumerate_full_rank
+    monkeypatch.setattr(linalg, "enumerate_full_rank", lambda n, q: full(n, q)[:-1])
+    res = audit.lemma1_exhaustive_check(alpha, beta, q)
+    assert not res.passed
+    assert set(res.details) == {"G_index", "index_vector"}
 
 
 def test_lemma1_guard():
@@ -300,10 +315,10 @@ def test_randomised_checks_require_generator():
 
 
 def test_rate_vs_capacity_m_independence():
-    grid = [SchemeParams(2, 3, 2, M) for M in (3, 4, 5)]
-    rows = audit.rate_vs_capacity_grid(grid)
-    assert all(r["equal"] for r in rows)
-    assert {r["rate"] for r in rows} == {Fraction(3, 5)}
+    for M in (3, 4, 5):
+        p = SchemeParams(2, 3, 2, M)
+        assert scheme.achieved_rate(p) == audit.capacity(2, 3, 2) == Fraction(3, 5)
+        assert layout.total_download(p) == 15
 
 
 def test_empirical_privacy_small():
@@ -368,7 +383,9 @@ def test_chunk_keys_match_per_sample_bytes(K, N, T, M, t_subset):
     seen = [plan.matrices[m] for m in t_subset]
     values, masks = audit._chunk_keys(seen, p.q)
     for s in range(5):
-        assert values[s].tobytes() == b"".join(linalg.serialize_matrix(a[s], p.q) for a in seen)
+        assert values[s].tobytes() == b"".join(
+            struct.pack("<II", *a[s].shape) + field.elements_to_bytes(a[s], p.q) for a in seen
+        )
         assert masks[s].tobytes() == b"".join(
             np.packbits(a[s].reshape(-1) != 0).tobytes() for a in seen
         )

@@ -49,10 +49,14 @@ def test_golden_downloads(K, N, T, M, total):
 
 
 def test_per_layer_counts_golden():
-    rows = layout.per_layer_counts(SchemeParams(2, 3, 2, 3))
-    by_layer = {r["layer"]: r for r in rows}
-    assert by_layer[1] == {"layer": 1, "total": 4, "desired_touching": 2}
-    assert by_layer[2] == {"layer": 2, "total": 1, "desired_touching": 1}
+    """Rows per database of the blocks of each size, and of those holding the desired index."""
+    by_layer = {}
+    for b in build_layout(SchemeParams(2, 3, 2, 3), 0).blocks:
+        row = by_layer.setdefault(len(b.subset), {"total": 0, "desired_touching": 0})
+        row["total"] += b.per_db_len
+        row["desired_touching"] += b.per_db_len if b.contains_desired else 0
+    assert by_layer[1] == {"total": 4, "desired_touching": 2}
+    assert by_layer[2] == {"total": 1, "desired_touching": 1}
     assert layout.per_db_download(SchemeParams(2, 3, 2, 3)) == 5
 
 

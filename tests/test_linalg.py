@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import struct
 import tracemalloc
 
 import numpy as np
@@ -19,14 +18,27 @@ def gl_order(n, q):
     return total
 
 
-@pytest.mark.parametrize("n,q,expected", [(1, 2, 1), (2, 2, 6), (3, 2, 168), (2, 3, 48)])
+def _brute_force_group(n, q):
+    """GL(n, q) as the bytes of every n x n matrix of rank n, by the reference elimination."""
+    every = np.array(list(itertools.product(range(q), repeat=n * n)), dtype=np.int64)
+    return {
+        m.tobytes()
+        for m in every.reshape(-1, n, n)
+        if _reference_eliminate(m.copy(), q, n, jordan=False)[0] == n
+    }
+
+
+@pytest.mark.parametrize(
+    "n,q,expected", [(1, 2, 1), (2, 2, 6), (3, 2, 168), (2, 3, 48), (2, 5, 480), (3, 3, 11232)]
+)
 def test_count_full_rank_small(n, q, expected):
-    assert linalg.count_full_rank(n, q) == expected
+    """The enumeration is GL(n, q), each element once, against a brute force."""
     assert gl_order(n, q) == expected
-    mats = list(linalg.enumerate_full_rank(n, q))
-    assert len(mats) == expected
-    for m in mats:
-        assert linalg.rank(m, q) == n
+    mats = linalg.enumerate_full_rank(n, q)
+    assert mats.shape == (expected, n, n) and mats.dtype == np.int64
+    keys = [m.tobytes() for m in mats]
+    assert len(set(keys)) == expected
+    assert set(keys) == _brute_force_group(n, q)
 
 
 @st.composite
@@ -547,7 +559,7 @@ def test_sampler_factor_choices_cover_group_once(n, q, stacked):
             assert rng.draws == []
     for m in mats:
         assert linalg.rank(m, q) == n
-    assert len({m.tobytes() for m in mats}) == len(choices) == linalg.count_full_rank(n, q)
+    assert len({m.tobytes() for m in mats}) == len(choices) == gl_order(n, q)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -692,15 +704,6 @@ def test_elimination_rejects_modulus_above_2_31():
     for call in (linalg.invert, linalg.rank, lambda a, q: linalg.mat_mul(a, a, q)):
         with pytest.raises(ValueError, match=str(q)):
             call(a, q)
-
-
-@given(square_matrix())
-def test_serialize_round_trip(mq):
-    a, q = mq
-    buf = linalg.serialize_matrix(a, q)
-    assert struct.unpack("<II", buf[:8]) == a.shape
-    values = field.elements_from_bytes(buf[8:], q, a.size)
-    assert np.array_equal(values.reshape(a.shape), a % q)
 
 
 def test_singular_error_carries_rank():
