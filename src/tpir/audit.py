@@ -438,7 +438,8 @@ def lemma1_exhaustive_check(alpha: int, beta: int, q: int) -> CheckResult:
     g_all = linalg.enumerate_full_rank(beta, q)
     index_vectors = [list(v) for v in itertools.permutations(range(alpha), beta)]
     for (gi, g), ivec in itertools.product(enumerate(g_all), index_vectors):
-        transformed = np.einsum("ij,sjk->sik", g, s_all[:, ivec, :]) % q
+        # in int64: in the enumeration's wire dtype the products would wrap
+        transformed = np.einsum("ij,sjk->sik", g, s_all[:, ivec, :], dtype=np.int64) % q
         if not np.array_equal(_sorted_rows(transformed), reference):
             return CheckResult(
                 name, False, {"G_index": gi, "index_vector": ivec}
@@ -453,8 +454,7 @@ def _check_lemma1_args(alpha: int, beta: int, q: int) -> None:
     """Raise ``ValueError`` for arguments ``lemma1_exhaustive_check`` cannot take."""
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
-    if q ** (alpha * alpha) > 2**24:
-        raise ValueError(f"GL({alpha},{q}) too large to enumerate")
+    linalg.check_enumerable(alpha, q)
     if not 1 <= beta <= alpha:
         raise ValueError(f"need 1 <= beta <= alpha, got beta={beta}")
 
@@ -509,24 +509,30 @@ def correctness_sweep(
 
 
 def capacity_shape_check() -> CheckResult:
-    """Capacity is decreasing in T and K, increasing in N, with limit 1 - T/N."""
+    """Capacity is decreasing in T and K, increasing in N, with limit 1 - T/N.
+
+    Each capacity of the grid is computed once, into a table the comparisons read.
+    """
     name = "capacity_shape"
-    for N in range(2, _SHAPE_MAX_N + 1):
+    grid_n = range(2, _SHAPE_MAX_N + 1)
+    cap = {(K, N, T): capacity(K, N, T)
+           for N in grid_n for T in range(1, N + 1) for K in range(1, _SHAPE_MAX_K + 1)}
+    for N in grid_n:
         for T in range(1, N + 1):
             for K in range(1, _SHAPE_MAX_K):
-                if capacity(K + 1, N, T) >= capacity(K, N, T):
+                if cap[K + 1, N, T] >= cap[K, N, T]:
                     return CheckResult(name, False, {"axis": "K", "K": K, "N": N, "T": T})
-            if T < N and capacity(3, N, T + 1) >= capacity(3, N, T):
+            if T < N and cap[3, N, T + 1] >= cap[3, N, T]:
                 return CheckResult(name, False, {"axis": "T", "N": N, "T": T})
         if N > 2:
             for T in range(1, N):
-                if capacity(3, N, T) <= capacity(3, N - 1, T):
+                if cap[3, N, T] <= cap[3, N - 1, T]:
                     return CheckResult(name, False, {"axis": "N", "N": N, "T": T})
     # gap to the K -> infinity limit shrinks monotonically to 0
-    for N in range(2, _SHAPE_MAX_N + 1):
+    for N in grid_n:
         for T in range(1, N):
             limit = Fraction(N - T, N)
-            gaps = [capacity(K, N, T) - limit for K in range(1, _SHAPE_MAX_K + 1)]
+            gaps = [cap[K, N, T] - limit for K in range(1, _SHAPE_MAX_K + 1)]
             if any(g2 >= g1 for g1, g2 in zip(gaps, gaps[1:])) or gaps[-1] < 0:
                 return CheckResult(name, False, {"axis": "limit", "N": N, "T": T})
     return CheckResult(name, True, {"max_K": _SHAPE_MAX_K, "max_N": _SHAPE_MAX_N})

@@ -2,10 +2,11 @@
 
 Elements are represented canonically as integers in ``[0, q)``, held in numpy
 arrays; arithmetic on them is array work in :mod:`tpir.linalg` and
-:mod:`tpir.mds`. Query plans and elements read from the wire are held in the
-unsigned wire dtype of q's width (``element_dtype``: ``uint8`` to ``uint32``)
-until arithmetic widens them; secrets, messages, code tables and the results
-of arithmetic are int64. This module chooses and checks the prime modulus,
+:mod:`tpir.mds`. Query plans, secrets, GL(n, q) enumerations, decoding
+tables and elements read from the wire are held in the unsigned wire dtype of
+q's width (``element_dtype``: ``uint8`` to ``uint32``) until arithmetic
+widens them; messages, MDS generators and the results of arithmetic are
+int64. This module chooses and checks the prime modulus,
 tests arrays for entries outside [0, q), and owns their fixed-width byte
 encoding.
 """

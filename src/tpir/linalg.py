@@ -1,7 +1,9 @@
-"""Dense linear algebra over GF(q) on numpy int64 arrays.
+"""Dense linear algebra over GF(q) on numpy integer arrays.
 
 Matrices are plain ``numpy`` arrays with entries reduced mod q; the modulus is
 passed explicitly and is at most 2^31 everywhere (``check_modulus``).
+Products and inverses come out as int64; elements of GL(n, q), drawn or
+enumerated, come out in the field's wire dtype (``field.element_dtype``).
 
 Every matrix product runs on float64 BLAS, where sums of products of
 integers are exact while they stay below 2^53. While ``inner * (q-1)^2`` is
@@ -37,10 +39,11 @@ of every pair. Both go through one function, ``_factor_product``.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from .field import as_elements, outside_field
+from .field import as_elements, element_dtype, outside_field
 
 __all__ = [
     "SingularMatrixError",
@@ -50,6 +53,7 @@ __all__ = [
     "invert",
     "solve",
     "sample_uniform_full_rank",
+    "check_enumerable",
     "enumerate_full_rank",
 ]
 
@@ -75,8 +79,9 @@ def check_modulus(q: int) -> None:
         raise ValueError(f"q={q} too large: exact GF(q) arithmetic here needs q <= 2^31")
 
 
-def _as_array(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.int64)
+def _int64_copy(a) -> np.ndarray:
+    """A fresh int64 copy of the 2-d matrix ``a``, whatever its integer dtype."""
+    arr = np.array(a, dtype=np.int64)
     if arr.ndim != 2:
         raise ValueError(f"expected 2-d matrix, got shape {arr.shape}")
     return arr
@@ -225,7 +230,8 @@ def _pivot_loop(a: np.ndarray, q: int, ncols: int):
 def rank(a, q: int) -> int:
     """Rank over GF(q) by Gaussian elimination in the unblocked loop, ``_pivot_loop``."""
     check_modulus(q)
-    work = _as_array(a) % q
+    work = _int64_copy(a)
+    work %= q
     return _pivot_loop(work, q, work.shape[1])[0]
 
 
@@ -293,8 +299,9 @@ def invert(a, q: int) -> np.ndarray:
 
     Raises ``SingularMatrixError``, carrying the rank of ``a``, if singular.
 
-    ``_gauss_jordan`` overwrites each pivot column of one residue copy of
-    ``a`` with its column of the transform. Rows are swapped whole, so the
+    ``a`` is never written. ``_gauss_jordan`` overwrites each pivot column
+    of one int64 residue copy of it, the only copy made whatever its integer
+    dtype, with its column of the transform. Rows are swapped whole, so the
     copy ends as the inverse of the row-permuted ``a``, whose columns are
     permuted back once. Product operands are residues, so a product's
     entries are below 2^53 (float path of ``_product``) or q (limb path). An
@@ -302,11 +309,12 @@ def invert(a, q: int) -> np.ndarray:
     fewer than 64 levels stays below q + 2^59 < 2^63 for any n.
     """
     check_modulus(q)
-    a = _as_array(a)
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError(f"matrix not square: {a.shape}")
-    w = a % q if outside_field(a, q) else a.copy()
+    w = _int64_copy(a)
+    n = w.shape[0]
+    if w.shape[1] != n:
+        raise ValueError(f"matrix not square: {w.shape}")
+    if outside_field(w, q):
+        w %= q
     order = np.arange(n)
     if not _gauss_jordan(w, q, 0, n, order):
         raise SingularMatrixError(rank(a, q), n)
@@ -327,7 +335,9 @@ def sample_uniform_full_rank(
 ) -> np.ndarray:
     """Uniform draw from GL(n, q), deterministic given the generator state.
 
-    Returns C @ V for two uniform factors. C is unit lower triangular with
+    Returns C @ V for two uniform factors, in ``field.element_dtype(q)``
+    (1, 2 or 4 bytes an entry by q's width, as plans are held); ``mat_mul``
+    and ``solve`` take it as it is. C is unit lower triangular with
     uniform entries below the diagonal. Row r of V is a uniform nonzero
     vector written, in column order, into the n - r columns that hold no
     earlier row's leading entry; it is redrawn only if all zero (probability
@@ -414,7 +424,8 @@ def _factor_product(v: np.ndarray, drawn: np.ndarray, below: np.ndarray, q: int)
     ``drawn``, ``_left_aligned(r, n)`` broadcast to v's shape, is true. It
     is overwritten with V. ``below`` holds C's r(r-1)/2 below-diagonal
     entries along its last axis, in row-major order; its other axes
-    broadcast against v's stack axes, as the product's operands do.
+    broadcast against v's stack axes, as the product's operands do. The
+    product is returned in ``field.element_dtype(q)``, as plans are held.
     """
     *stack, r, n = v.shape
     # lead[..., j] is the row whose leading entry sits in column j (r where
@@ -436,7 +447,22 @@ def _factor_product(v: np.ndarray, drawn: np.ndarray, below: np.ndarray, q: int)
     del below  # held through the product, it raised a 625 x 625 draw's peak by 1.5 MB
     out = _product(c, v, q)  # both factors are residues: no range test
     out %= q
-    return out
+    return out.astype(element_dtype(q))
+
+
+# The most entries, |GL(n, q)| * n^2, that an enumeration of GL(n, q) holds.
+_ENUMERATION_ENTRIES = 2**24
+
+
+def check_enumerable(n: int, q: int) -> None:
+    """Raise ``ValueError`` if GL(n, q) as one stack would hold more than 2^24 entries.
+
+    |GL(n, q)| = (q^n - 1)(q^n - q)...(q^n - q^(n-1)) is counted in Python
+    integers, so the check allocates nothing.
+    """
+    entries = math.prod(q**n - q**k for k in range(n)) * n * n
+    if entries > _ENUMERATION_ENTRIES:
+        raise ValueError(f"GL({n},{q}) too large to enumerate: {entries} entries > 2^24")
 
 
 def enumerate_full_rank(n: int, q: int) -> np.ndarray:
@@ -447,10 +473,10 @@ def enumerate_full_rank(n: int, q: int) -> np.ndarray:
     every choice of V's nonzero rows is placed once, and every choice of C's
     below-diagonal entries is broadcast against them. The stack runs over
     C's choices, then V's, each in lexicographic order of the free entries.
-    Guarded to instances with q^(n^2) <= 2^24.
+    Returned in ``field.element_dtype(q)``, as the sampler's draws are.
+    Guarded by ``check_enumerable``.
     """
-    if q ** (n * n) > 2**24:
-        raise ValueError(f"GL({n},{q}) enumeration too large: q^(n^2) > 2^24")
+    check_enumerable(n, q)
     rows = [_vectors(q, n - k)[1:] for k in range(n)]  # row k's nonzero values
     choice = np.indices([len(x) for x in rows]).reshape(n, -1)
     v = np.zeros((choice.shape[1], n, n), dtype=np.int64)

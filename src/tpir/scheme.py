@@ -83,7 +83,10 @@ class SchemeSecrets:
     Each matrix may carry leading stack axes, one secret set per index. A
     set drawn for one desired index holds that message's matrix in full
     (L x L) and only the first ``SchemeParams.undesired_secret_rows`` rows
-    of each other one, the rows its plan reads.
+    of each other one, the rows its plan reads. Entries are residues held
+    in ``field.element_dtype(q)``, the wire dtype of q's width, as plans
+    are; they reach arithmetic only through ``linalg.mat_mul`` and
+    ``linalg.solve``, which take them as they are.
     """
 
     matrices: tuple[np.ndarray, ...]
@@ -230,7 +233,11 @@ def answer_query(db_id: int, q_matrix: np.ndarray, store: MessageStore) -> Answe
 
 @dataclass(frozen=True)
 class SubsetTables:
-    """Decoding tables of S responder subsets: public, and the same for every desired index."""
+    """Decoding tables of S responder subsets: public, and the same for every desired index.
+
+    The inverses are residues held in ``field.element_dtype(q)``, the wire
+    dtype of q's width, and reach arithmetic only through ``linalg.mat_mul``.
+    """
 
     params: SchemeParams
     responders: np.ndarray  # (S, N) increasing database ids
@@ -255,11 +262,15 @@ def subset_tables(layout: BlockLayout, subsets) -> SubsetTables:
             raise ValueError(f"responders {s} are not {p.N} increasing ids in 0..{p.M - 1}")
     responders = np.array(subsets, dtype=np.int64).reshape(len(subsets), p.N)
     pairs = {b.code: b for b in layout.blocks if b.parity_len}
+
+    def inverse(code, coords):
+        return mds.submatrix_inverse(code, coords).astype(element_dtype(p.q))
+
     return SubsetTables(
         p,
         responders,
-        {code: mds.submatrix_inverse(code, b.coords(responders)) for code, b in pairs.items()},
-        mds.submatrix_inverse(layout.desired_code, layout.desired_coords(responders)),
+        {code: inverse(code, b.coords(responders)) for code, b in pairs.items()},
+        inverse(layout.desired_code, layout.desired_coords(responders)),
     )
 
 

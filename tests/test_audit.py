@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,6 +234,8 @@ def test_lemma1_small_exhaustive():
     points = [
         (2, 1, 2, 6), (2, 2, 2, 6), (3, 2, 2, 168), (3, 3, 2, 168), (2, 2, 3, 48),
         (4, 2, 2, 20160), (3, 2, 3, 11232),
+        # products of residues near 17 overflow a uint8 enumeration
+        (2, 1, 17, 78336),
     ]
     for alpha, beta, q, gl_size in points:
         res = audit.lemma1_exhaustive_check(alpha, beta, q)
@@ -254,6 +257,39 @@ def test_lemma1_guard():
         audit.lemma1_exhaustive_check(4, 2, 7)
     with pytest.raises(ValueError):
         audit.lemma1_exhaustive_check(2, 3, 2)
+    # q^(n^2) = 61^4 < 2^24, but |GL(2, 61)| * 4 entries are not
+    with pytest.raises(ValueError, match="too large"):
+        audit.lemma1_exhaustive_check(2, 1, 61)
+
+
+@pytest.mark.parametrize(
+    "point,factor,details",
+    [
+        ((5, 4, 3), 2, {"axis": "K", "K": 4, "N": 4, "T": 3}),
+        ((3, 5, 3), 2, {"axis": "T", "N": 5, "T": 2}),
+        ((12, 2, 1), None, {"axis": "limit", "N": 2, "T": 1}),
+    ],
+    ids=["K", "T", "limit"],
+)
+def test_capacity_shape_check_names_the_point_that_breaks(monkeypatch, point, factor, details):
+    """One capacity patched out of shape fails the check at that point, and
+    each capacity of the grid is computed once."""
+    honest = audit.capacity
+    calls = Counter()
+
+    def patched(K, N, T):
+        calls[K, N, T] += 1
+        if (K, N, T) != point:
+            return honest(K, N, T)
+        # doubled, or just below the K -> infinity limit
+        return honest(K, N, T) * factor if factor else Fraction(N - T, N) - Fraction(1, 10**6)
+
+    monkeypatch.setattr(audit, "capacity", patched)
+    res = audit.capacity_shape_check()
+    assert not res.passed and res.details == details
+    assert len(calls) == 240 and set(calls.values()) == {1}
+    monkeypatch.setattr(audit, "capacity", honest)
+    assert audit.capacity_shape_check().passed
 
 
 @pytest.mark.parametrize("lemma1", [(2, 1, 4), (4, 2, 7), (2, 3, 2)])

@@ -192,6 +192,15 @@ def test_audit_lemma1_with_non_prime_q_is_usage_error(capsys, q):
     assert f"q={q} is not prime" in err
 
 
+def test_audit_lemma1_beyond_the_enumeration_guard_is_usage_error(capsys):
+    # |GL(2, 61)| * 2^2 entries exceed 2^24; rejected before any check runs
+    code, out, err = run(capsys, "audit", "-K", "2", "-N", "2", "-T", "1",
+                         "--seed", "3", "--trials", "2",
+                         "--lemma1", "alpha=2,beta=1,q=61")
+    assert code == 2
+    assert "GL(2,61) too large to enumerate" in err and out == ""
+
+
 def test_audit_generates_seed_when_absent(capsys):
     code, out, err = run(capsys, "audit", "-K", "2", "-N", "2", "-T", "1",
                          "--trials", "2")

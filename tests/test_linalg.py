@@ -35,8 +35,8 @@ def test_count_full_rank_small(n, q, expected):
     """The enumeration is GL(n, q), each element once, against a brute force."""
     assert gl_order(n, q) == expected
     mats = linalg.enumerate_full_rank(n, q)
-    assert mats.shape == (expected, n, n) and mats.dtype == np.int64
-    keys = [m.tobytes() for m in mats]
+    assert mats.shape == (expected, n, n) and mats.dtype == field.element_dtype(q)
+    keys = [m.tobytes() for m in mats.astype(np.int64)]  # the brute force's dtype
     assert len(set(keys)) == expected
     assert set(keys) == _brute_force_group(n, q)
 
@@ -510,7 +510,9 @@ def test_sampler_reproduces_pinned_stream(n, q, seed, digest):
     rng = np.random.default_rng(seed)
     m = linalg.sample_uniform_full_rank(n, q, rng)
     after = rng.integers(0, 2**62, size=1)
-    assert hashlib.sha256(m.tobytes() + after.tobytes()).hexdigest()[:16] == digest
+    # hashed as int64, the dtype the draws were held in when these were pinned
+    data = m.astype(np.int64).tobytes() + after.tobytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
 def test_sampler_blocked_dimension_is_full_rank_and_seeded():
@@ -716,3 +718,57 @@ def test_singular_error_carries_rank():
 def test_enumerate_guard():
     with pytest.raises(ValueError):
         list(linalg.enumerate_full_rank(4, 7))
+
+
+def test_enumeration_guard_bounds_the_stack_before_allocating():
+    # |GL(2, 61)| is 13.6 million, 5.4e7 entries: rejected with nothing allocated
+    for n, q in [(1, 2), (4, 2), (3, 3), (2, 17), (2, 31), (3, 5)]:
+        linalg.check_enumerable(n, q)
+    tracemalloc.start()
+    try:
+        for n, q in [(2, 61), (2, 47), (5, 2), (4, 3)]:
+            with pytest.raises(ValueError, match=f"GL\\({n},{q}\\) too large"):
+                linalg.enumerate_full_rank(n, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+WIDTH_MODULI = [2, 877, 65537, 2**31 - 1]
+
+
+@pytest.mark.parametrize("q", WIDTH_MODULI)
+def test_group_elements_are_held_in_the_wire_dtype(q):
+    """Draws, stacked or cut to their first rows, and the enumeration come out
+    in the field's wire dtype at moduli of 1, 2 and 4 bytes."""
+    dtype = field.element_dtype(q)
+    rng = np.random.default_rng(q)
+    for count, rows in [(None, None), (3, None), (None, 2), (3, 2)]:
+        m = linalg.sample_uniform_full_rank(6, q, rng, count, rows=rows)
+        assert m.dtype == dtype and not field.outside_field(m, q)
+    if q < 2**24:
+        n = 2 if q == 2 else 1
+        assert linalg.enumerate_full_rank(n, q).dtype == dtype
+    else:  # |GL(1, q)| = q - 1 entries: beyond the guard
+        with pytest.raises(ValueError, match="too large"):
+            linalg.enumerate_full_rank(1, q)
+
+
+@pytest.mark.parametrize("q", WIDTH_MODULI)
+def test_invert_and_solve_take_a_wire_dtype_secret_as_its_int64_cast(q):
+    """An unsigned input, in range or not, is inverted without being written
+    and gives the bytes its int64 cast gives."""
+    rng = np.random.default_rng(q + 1)
+    a = linalg.sample_uniform_full_rank(70, q, rng)
+    y = rng.integers(0, q, size=(70, 3))
+    shifted = (a.astype(np.uint64) + q).astype(a.dtype)  # every entry outside [0, q)
+    assert np.array_equal(shifted.astype(np.int64) % q, a)
+    for x in (a, shifted):
+        before = x.copy()
+        x.setflags(write=False)
+        got = linalg.invert(x, q)
+        want = linalg.invert(x.astype(np.int64), q)
+        assert got.dtype == want.dtype == np.int64 and got.tobytes() == want.tobytes()
+        assert linalg.solve(x, y, q).tobytes() == linalg.solve(x.astype(np.int64), y, q).tobytes()
+        assert np.array_equal(x, before)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -253,6 +254,49 @@ def test_plans_are_held_in_the_wire_dtype(K, N, T, M, q, count, monkeypatch):
             assert got.shape == want.shape and np.array_equal(got, want)
             for g, w in zip(got.reshape(-1, *got.shape[-2:]), want.reshape(-1, *want.shape[-2:])):
                 assert simnet.encode_query(g, q, K, p.L) == simnet.encode_query(w, q, K, p.L)
+
+
+@pytest.mark.parametrize(
+    "K,N,T,M,q", [(1, 2, 1, 2, 2), (2, 3, 2, 4, 877), (2, 3, 1, 4, 65537), (3, 2, 1, 3, 2**31 - 1)]
+)
+def test_secrets_and_tables_are_held_in_the_wire_dtype(K, N, T, M, q):
+    """Secrets and decoding tables come out in the field's wire dtype, and plans,
+    decodes and solves from them are the bytes their int64 casts give."""
+    p = SchemeParams(K, N, T, M, q)
+    dtype = field.element_dtype(q)
+    rng = np.random.default_rng(q)
+    for count, desired in [(None, None), (2, None), (None, K - 1), (2, 0)]:
+        drawn = scheme.sample_secrets(p, rng, count, desired=desired)
+        assert all(m.dtype == dtype for m in drawn.matrices)
+    secrets = scheme.sample_secrets(p, rng)
+    wide = scheme.SchemeSecrets(tuple(m.astype(np.int64) for m in secrets.matrices))
+    subsets = list(itertools.combinations(range(p.M), p.N))
+    tables = scheme.subset_tables(build_layout(p, 0), subsets)
+    assert tables.desired_inv.dtype == dtype
+    assert all(inv.dtype == dtype for inv in tables.pair_inv.values())
+    wide_tables = dataclasses.replace(
+        tables,
+        pair_inv={code: inv.astype(np.int64) for code, inv in tables.pair_inv.items()},
+        desired_inv=tables.desired_inv.astype(np.int64),
+    )
+    store = scheme.MessageStore.random(p, rng)
+    for desired in range(K):
+        plan = scheme.build_queries(p, desired, secrets)
+        ref = scheme.build_queries(p, desired, wide)
+        for got, want in zip(plan.matrices, ref.matrices):
+            assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+        answers = [scheme.answer_query(m, plan.matrices[m], store) for m in range(M)]
+        got = scheme.Decoder(p, desired, secrets).decode(answers)
+        want = scheme.Decoder(p, desired, wide).decode(answers)
+        assert got.tobytes() == want.tobytes() and np.array_equal(got, store.data[desired])
+        answered = np.stack([a.values for a in answers])[tables.responders][..., None]
+        got = scheme.Decoder(p, desired, secrets).decode_subsets(tables, answered)
+        want = scheme.Decoder(p, desired, wide).decode_subsets(wide_tables, answered)
+        assert got.tobytes() == want.tobytes()
+        assert (got == store.data[desired][None, :, None]).all()
+    y = rng.integers(0, q, size=(p.L, 3))
+    for s, w in zip(secrets.matrices, wide.matrices):
+        assert linalg.solve(s, y, q).tobytes() == linalg.solve(w, y, q).tobytes()
 
 
 @pytest.mark.parametrize("break_alignment", [False, True], ids=["honest", "broken"])
