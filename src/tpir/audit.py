@@ -20,7 +20,6 @@ import hashlib
 import itertools
 import math
 import struct
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -47,10 +46,14 @@ __all__ = [
 # Bounds that keep one pass of each check small: the collusion subsets the
 # structural check and the responder subsets the correctness sweep visit
 # (above these, that many are drawn from the caller's generator), the
-# empirical check's chi-square buckets, and the capacity shape grid's K and N.
+# empirical check's chi-square buckets and their least expected count, the
+# matrices the lemma-1 check compares (|GL(beta, q)| * alpha!/(alpha - beta)!
+# cases of |GL(alpha, q)| each), and the capacity shape grid's K and N.
 _STRUCTURAL_SUBSETS = 500
 _SWEEP_SUBSETS = 200
 _MAX_BUCKETS = 200
+_MIN_EXPECTED = 5.0
+_LEMMA1_WORK = 2**26
 _SHAPE_MAX_K = 12
 _SHAPE_MAX_N = 6
 
@@ -60,9 +63,6 @@ class CheckResult:
     name: str
     passed: bool
     details: dict = dc_field(default_factory=dict)
-
-    def __bool__(self):
-        return self.passed
 
 
 @dataclass
@@ -147,7 +147,7 @@ def structural_privacy_check(
             f"plan matrices of shapes {sorted({m.shape for m in plan.matrices})}, not "
             f"({layout.per_db}, {p.K * p.L}); check a stacked plan one slice at a time"
         )
-    expected_per_msg = p.T * p.N ** (p.K - 1)
+    expected_per_msg = p.undesired_secret_rows
 
     if plan is not None:
         bad = _plan_support_mismatch(plan)
@@ -302,12 +302,13 @@ def empirical_privacy_check(
     fails the check. ``break_alignment`` checks plans broken by
     ``without_alignment`` instead (expected to be rejected).
 
-    Bucketing: exact values while the observed support is small. When the
-    value space is too large for repeats, a 64-bit hash of the full bytes
-    would spread every sample to its own bucket and the test would have no
-    power, so buckets then come from the matrices' zero/nonzero support
-    pattern — still a deterministic function of the query, hence identically
-    distributed across desired indices whenever the queries are.
+    Bucketing (``_bucket_counts``): each sample is keyed by an 8-byte digest
+    of its values while those take at most ``_MAX_BUCKETS`` (200) digests.
+    Above that, value keys would spread the samples so thinly that the test
+    has no power, so the digests of the zero/nonzero support pattern are the
+    keys — still a function of the query, so identically distributed across
+    desired indices whenever the queries are. A pair of indices whose
+    samples all share one key is identically distributed: p = 1.0.
     """
     p = params
     t_subset = tuple(sorted(t_subset))
@@ -326,11 +327,9 @@ def empirical_privacy_check(
 
     layouts = [build_layout(p, ell) for ell in range(p.K)]
     chunk = max(1, _CHUNK_ENTRIES // (p.M * layouts[0].per_db * p.K * p.L))
-    value_counters: list[Counter] = []
-    mask_counters: list[Counter] = []
+    # candidate bucketings, most specific first, each a digest list per index
+    keyings = {"value": [[] for _ in range(p.K)], "support_mask": [[] for _ in range(p.K)]}
     for ell in range(p.K):
-        vcounts: Counter = Counter()
-        mcounts: Counter = Counter()
         for start in range(0, sample_count, chunk):
             secrets = scheme.sample_secrets(
                 p, rng, min(chunk, sample_count - start), desired=ell
@@ -338,58 +337,56 @@ def empirical_privacy_check(
             plan = scheme.build_queries(p, ell, secrets, layout=layouts[ell])
             if break_alignment:
                 without_alignment(plan)
-            values, masks = _chunk_keys([plan.matrices[m] for m in t_subset], p.q)
-            for value, mask in zip(values, masks):
-                vcounts[hashlib.blake2b(value, digest_size=8).digest()] += 1
-                mcounts[hashlib.blake2b(mask, digest_size=8).digest()] += 1
-        value_counters.append(vcounts)
-        mask_counters.append(mcounts)
+            keys = _chunk_keys([plan.matrices[m] for m in t_subset], p.q)
+            for digests, rows in zip(keyings.values(), keys):
+                digests[ell] += [hashlib.blake2b(row, digest_size=8).digest() for row in rows]
 
-    if len(set().union(*value_counters)) <= _MAX_BUCKETS:
-        counters, bucketing = value_counters, "value"
-    else:
-        counters, bucketing = mask_counters, "support_mask"
-    support = sorted(set().union(*counters))
-    if len(support) > _MAX_BUCKETS:
-        def bucket_of(key: bytes) -> int:
-            return int.from_bytes(key, "little") % _MAX_BUCKETS
-        nbuckets = _MAX_BUCKETS
-    else:
-        index = {k: i for i, k in enumerate(support)}
-        def bucket_of(key: bytes) -> int:
-            return index[key]
-        nbuckets = len(support)
-
-    tables = np.zeros((p.K, nbuckets), dtype=np.int64)
-    for ell, counts in enumerate(counters):
-        for key, c in counts.items():
-            tables[ell, bucket_of(key)] += c
+    *specific, fallback = keyings
+    bucketing = next(
+        (k for k in specific if len(set().union(*keyings[k])) <= _MAX_BUCKETS), fallback
+    )
+    tables = _bucket_counts(keyings[bucketing])
 
     pairs = list(itertools.combinations(range(p.K), 2))
     threshold = significance / len(pairs)
     results = {}
-    worst_p = 1.0
     for i, j in pairs:
         table = tables[[i, j]]
         table = table[:, table.sum(axis=0) > 0]
-        table = _merge_sparse_buckets(table)
-        expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
-        if table.shape[1] < 2 or expected.min() < 5.0:
+        if table.shape[1] == 1:  # one key for every plan of both indices
+            results[f"p_{i}_{j}"] = 1.0
+            continue
+        table, expected = _merge_sparse_buckets(table)
+        if expected.min() < _MIN_EXPECTED:
             raise ValueError(
                 f"sample_count={sample_count} is too small for the chi-square "
                 "minimum expected bucket count; increase the sample count"
             )
         stat = float(((table - expected) ** 2 / expected).sum())
-        pval = _chi2_sf(stat, table.shape[1] - 1)
-        results[f"p_{i}_{j}"] = pval
-        worst_p = min(worst_p, pval)
+        results[f"p_{i}_{j}"] = _chi2_sf(stat, table.shape[1] - 1)
+    worst_p = min(results.values())
     passed = worst_p > threshold
     return CheckResult(
         name,
         passed if not break_alignment else not passed,
-        {"min_p": worst_p, "threshold": threshold, "buckets": nbuckets,
+        {"min_p": worst_p, "threshold": threshold, "buckets": tables.shape[1],
          "bucketing": bucketing, "samples_per_index": sample_count, **results},
     )
+
+
+def _bucket_counts(digests: list[list[bytes]]) -> np.ndarray:
+    """Counts of the 8-byte ``digests`` per index (row) and bucket (column): a digest's
+    bucket is its index in sorted order among at most ``_MAX_BUCKETS`` distinct
+    digests, else its little-endian value mod ``_MAX_BUCKETS``."""
+    blob = b"".join(itertools.chain.from_iterable(digests))
+    # read big-endian, the integers sort as the byte strings do
+    support, buckets = np.unique(np.frombuffer(blob, dtype=">u8"), return_inverse=True)
+    if len(support) > _MAX_BUCKETS:
+        buckets = np.frombuffer(blob, dtype="<u8") % _MAX_BUCKETS
+    tables = np.zeros((len(digests), min(len(support), _MAX_BUCKETS)), dtype=np.int64)
+    rows = np.repeat(np.arange(len(digests)), [len(d) for d in digests])
+    np.add.at(tables, (rows, buckets), 1)
+    return tables
 
 
 def _chi2_sf(x: float, dof: int) -> float:
@@ -409,16 +406,15 @@ def _chi2_sf(x: float, dof: int) -> float:
     )
 
 
-def _merge_sparse_buckets(table: np.ndarray, min_expected: float = 5.0) -> np.ndarray:
-    """Fold low-count buckets together until every expected count is adequate."""
-    order = np.argsort(table.sum(axis=0))[::-1]
-    table = table[:, order]
-    while table.shape[1] > 2:
+def _merge_sparse_buckets(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fold low-count buckets together until every expected count is adequate
+    or two buckets are left; returns the folded table and its expected counts."""
+    table = table[:, np.argsort(table.sum(axis=0))[::-1]]
+    while True:
         expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
-        if expected.min() >= min_expected:
-            break
+        if table.shape[1] <= 2 or expected.min() >= _MIN_EXPECTED:
+            return table, expected
         table = np.concatenate([table[:, :-2], table[:, -2:].sum(axis=1, keepdims=True)], axis=1)
-    return table
 
 
 def lemma1_exhaustive_check(alpha: int, beta: int, q: int) -> CheckResult:
@@ -451,12 +447,19 @@ def lemma1_exhaustive_check(alpha: int, beta: int, q: int) -> CheckResult:
 
 
 def _check_lemma1_args(alpha: int, beta: int, q: int) -> None:
-    """Raise ``ValueError`` for arguments ``lemma1_exhaustive_check`` cannot take."""
+    """Raise ``ValueError`` for arguments ``lemma1_exhaustive_check`` cannot take,
+    the work bound ``_LEMMA1_WORK`` included, before anything is enumerated."""
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
-    linalg.check_enumerable(alpha, q)
+    gl_size = linalg.check_enumerable(alpha, q)
     if not 1 <= beta <= alpha:
         raise ValueError(f"need 1 <= beta <= alpha, got beta={beta}")
+    work = linalg.check_enumerable(beta, q) * math.perm(alpha, beta) * gl_size
+    if work > _LEMMA1_WORK:
+        raise ValueError(
+            f"lemma-1 check at alpha={alpha}, beta={beta}, q={q} too long: "
+            f"it compares {work} matrices > 2^26"
+        )
 
 
 def _sorted_rows(stack: np.ndarray) -> np.ndarray:
@@ -579,14 +582,9 @@ def run_audit(
     checks.append(correctness_sweep(p, trials=trials, rng=rng))
 
     if empirical_samples:
-        t_subset = tuple(range(p.T))
-        checks.append(
-            empirical_privacy_check(
-                p, t_subset, empirical_samples, rng=rng,
-                break_alignment=break_alignment,
-            )
-        )
+        checks.append(empirical_privacy_check(
+            p, tuple(range(p.T)), empirical_samples, rng=rng, break_alignment=break_alignment
+        ))
     if lemma1 is not None:
-        a, b, q1 = lemma1
-        checks.append(lemma1_exhaustive_check(a, b, q1))
+        checks.append(lemma1_exhaustive_check(*lemma1))
     return AuditReport(params=p, checks=checks)

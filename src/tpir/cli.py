@@ -212,10 +212,8 @@ def cmd_audit(args) -> int:
         lemma1=lemma1,
     )
     if args.format == "records":
-        for c in report.checks:
-            print(json.dumps(
-                {"schema": RECORD_SCHEMA, "check": c.name, "passed": c.passed,
-                 "details": c.details}, default=str))
+        _emit([{"check": c.name, "passed": c.passed, "details": c.details}
+               for c in report.checks], args.format)
     else:
         print(f"audit K={params.K} N={params.N} T={params.T} M={params.M} "
               f"q={params.q} seed={seed}")

@@ -454,15 +454,16 @@ def _factor_product(v: np.ndarray, drawn: np.ndarray, below: np.ndarray, q: int)
 _ENUMERATION_ENTRIES = 2**24
 
 
-def check_enumerable(n: int, q: int) -> None:
-    """Raise ``ValueError`` if GL(n, q) as one stack would hold more than 2^24 entries.
+def check_enumerable(n: int, q: int) -> int:
+    """|GL(n, q)|; ``ValueError`` if GL(n, q) as one stack would hold more than 2^24 entries.
 
     |GL(n, q)| = (q^n - 1)(q^n - q)...(q^n - q^(n-1)) is counted in Python
     integers, so the check allocates nothing.
     """
-    entries = math.prod(q**n - q**k for k in range(n)) * n * n
-    if entries > _ENUMERATION_ENTRIES:
-        raise ValueError(f"GL({n},{q}) too large to enumerate: {entries} entries > 2^24")
+    order = math.prod(q**n - q**k for k in range(n))
+    if order * n * n > _ENUMERATION_ENTRIES:
+        raise ValueError(f"GL({n},{q}) too large to enumerate: {order * n * n} entries > 2^24")
+    return order
 
 
 def enumerate_full_rank(n: int, q: int) -> np.ndarray:

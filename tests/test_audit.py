@@ -262,6 +262,21 @@ def test_lemma1_guard():
         audit.lemma1_exhaustive_check(2, 1, 61)
 
 
+def test_lemma1_work_bound(monkeypatch):
+    # every point the tests and CI run is admitted, and so is (2, 1, 31):
+    # 60 cases of |GL(2, 31)| = 892800 matrices, 5.4e7 in all, about 8 s
+    for alpha, beta, q in [(3, 2, 3), (4, 2, 2), (2, 1, 17), (2, 1, 31)]:
+        audit._check_lemma1_args(alpha, beta, q)
+
+    # 1.8 million cases of 892800 matrices each: rejected before any enumeration
+    def enumerate_nothing(n, q):
+        raise AssertionError("enumerated before the work bound")
+
+    monkeypatch.setattr(linalg, "enumerate_full_rank", enumerate_nothing)
+    with pytest.raises(ValueError, match="1594183680000 matrices > 2"):
+        audit.lemma1_exhaustive_check(2, 2, 31)
+
+
 @pytest.mark.parametrize(
     "point,factor,details",
     [
@@ -383,6 +398,18 @@ def test_empirical_privacy_t_equals_n():
         )
 
 
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("samples", [200, 5000])
+def test_empirical_privacy_one_shared_key_is_a_pass(K, samples):
+    # at q = 2 every plan a coalition sees is the same, so the index
+    # distributions agree exactly: p = 1.0, not a sample count error
+    p = SchemeParams(K, 1, 1, 2)
+    res = audit.empirical_privacy_check(p, (1,), samples, rng=np.random.default_rng(K))
+    assert res.passed
+    assert res.details["min_p"] == 1.0
+    assert (res.details["bucketing"], res.details["buckets"]) == ("value", 1)
+
+
 def test_empirical_privacy_too_few_samples():
     p = SchemeParams(2, 2, 1, 2)
     for samples in (3, 0, -5):
@@ -445,6 +472,17 @@ def test_empirical_privacy_one_plan_chunks_reproduce_pinned_p(
     )
     assert res.passed and res.details["bucketing"] == "support_mask"
     assert res.details["min_p"] == pytest.approx(min_p, rel=1e-9)
+
+
+def test_empirical_privacy_value_bucketing_reproduces_pinned_p():
+    # At q = 3 a single database's plans take few values, so they are
+    # bucketed by value, each distinct value its own bucket in sorted order;
+    # the two pins above take the hashed support-mask buckets.
+    p = SchemeParams(2, 1, 1, 3)
+    res = audit.empirical_privacy_check(p, (0,), 200, rng=np.random.default_rng(1))
+    assert res.passed
+    assert (res.details["bucketing"], res.details["buckets"]) == ("value", 4)
+    assert res.details["min_p"] == pytest.approx(0.21095047241378395, rel=1e-9)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tpir import cli
+from tpir import audit, cli
 
 
 def run(capsys, *argv):
@@ -199,6 +199,29 @@ def test_audit_lemma1_beyond_the_enumeration_guard_is_usage_error(capsys):
                          "--lemma1", "alpha=2,beta=1,q=61")
     assert code == 2
     assert "GL(2,61) too large to enumerate" in err and out == ""
+
+
+def test_audit_lemma1_beyond_the_work_bound_is_usage_error(capsys, monkeypatch):
+    # GL(2, 31) can be enumerated, but 1.8 million (G, I) cases of it cannot
+    # be compared in reasonable time; rejected before any check runs
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(audit, "capacity_shape_check", no_check)
+    code, out, err = run(capsys, "audit", "-K", "2", "-N", "2", "-T", "1", "-M", "2",
+                         "--seed", "1", "--lemma1", "alpha=2,beta=2,q=31")
+    assert code == 2
+    assert "too long" in err and out == ""
+
+
+def test_audit_one_shared_key_passes(capsys):
+    # at q = 2 every plan is the same; the empirical check passes with p = 1
+    code, out, err = run(capsys, "audit", "-K", "2", "-N", "1", "-T", "1", "-M", "2",
+                         "--seed", "1", "-R", "2000", "--format", "records")
+    assert code == 0, err
+    empirical = [json.loads(line) for line in out.splitlines()][-1]
+    assert empirical["check"] == "empirical_privacy" and empirical["passed"]
+    assert empirical["details"]["min_p"] == 1.0
 
 
 def test_audit_generates_seed_when_absent(capsys):
