@@ -30,8 +30,16 @@ plan = scheme.build_queries(p, desired=0, secrets=secrets, layout=lay)
 print(f"\nquery shape per database: {plan.matrices[0].shape} "
       f"(rows x stacked-message columns)")
 
+# A query travels as its non-zero segments: row r of block B touches only the
+# messages in B, so the zero segments outside the block pattern are not sent.
+present, _ = scheme.query_segments(plan.matrices[0], p.K, p.L)
+print(f"segments sent to db 0: {int(present.sum())} of {present.size} (rows x messages)")
+
 store = scheme.MessageStore.random(p, rng)
-answers = [scheme.answer_query(m, plan.matrices[m], store) for m in range(p.M)]
+answers = [
+    scheme.answer_query(m, *scheme.query_segments(plan.matrices[m], p.K, p.L), store)
+    for m in range(p.M)
+]
 for a in answers:
     print(f"db {a.db_id} answers {list(a.values)}")
 

@@ -23,6 +23,7 @@ from .scheme import (
     answer_query,
     build_queries,
     decode,
+    query_segments,
     sample_secrets,
 )
 
@@ -48,6 +49,7 @@ __all__ = [
     "answer_query",
     "build_queries",
     "decode",
+    "query_segments",
     "sample_secrets",
     "__version__",
 ]

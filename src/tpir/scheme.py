@@ -2,13 +2,14 @@
 
 Queries are materialized as explicit D x (K*L) coefficient matrices over the
 stacked message vector (W_0; ...; W_{K-1}), one per database, held in the
-field's unsigned wire dtype (``field.element_dtype``), so a plan takes the
-bytes its wire form takes and is encoded with no int64 copy. Which rows (and
-answer symbols) belong to which block, and which MDS code carries each
-block's coordinates, is the layout's row map and code map (``tpir.layout``);
-this module only reads them. A block's codeword segment is M contiguous
-per-database chunks, so one reshape spreads it over all M matrices. Answering
-is a single matrix-vector product. Decoding processes blocks in increasing
+field's unsigned wire dtype (``field.element_dtype``), so their segments are
+encoded with no int64 copy. Which rows (and answer symbols) belong to which
+block, and which MDS code carries each block's coordinates, is the layout's
+row map and code map (``tpir.layout``); this module only reads them. A
+block's codeword segment is M contiguous per-database chunks, so one reshape
+spreads it over all M matrices. A query travels as its non-zero message
+segments (``query_segments``), and a database answers with one
+matrix-vector product per message. Decoding processes blocks in increasing
 subset size: every block that mixes the desired message has the interference
 of its aligned pair code re-encoded and subtracted off, and the surviving
 desired-codeword coordinates are inverted through the desired code and the
@@ -40,6 +41,7 @@ __all__ = [
     "SubsetTables",
     "sample_secrets",
     "build_queries",
+    "query_segments",
     "answer_query",
     "subset_tables",
     "Decoder",
@@ -214,20 +216,58 @@ def build_queries(
     return QueryPlan(desired=desired, layout=layout, matrices=tuple(matrices))
 
 
-def answer_query(db_id: int, q_matrix: np.ndarray, store: MessageStore) -> Answer:
-    """A database's deterministic response: Q_m times the stacked store.
+def query_segments(q_matrix: np.ndarray, K: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """A dense D x K*L query as (present, segments): the form it travels in.
 
-    ``q_matrix`` is a 2-d integer array (an unsigned wire-dtype one is used
-    as it is) with one column per stored symbol; any other shape raises
-    ``ValueError``.
+    ``present`` is the (D, K) boolean array of which L-symbol segments are
+    non-zero (row r's segment of message k is columns k*L to (k+1)*L), and
+    ``segments`` is those segments, (s, L) in the matrix's dtype, message by
+    message with rows in order inside each message. A matrix that is not
+    2-d integer array with K*L columns raises ``ValueError``.
     """
-    if q_matrix.ndim != 2:
-        raise ValueError(f"query must be a 2-d matrix, got shape {q_matrix.shape}")
-    if q_matrix.shape[-1] != store.stacked.size:
+    q_matrix = np.asarray(q_matrix)
+    if q_matrix.dtype.kind not in "iu" or q_matrix.ndim != 2 or q_matrix.shape[1] != K * L:
         raise ValueError(
-            f"query has {q_matrix.shape[-1]} columns, store has {store.stacked.size} symbols"
+            f"query of dtype {q_matrix.dtype} and shape {q_matrix.shape}, "
+            f"expected integers in K*L={K * L} columns"
         )
-    values = linalg.mat_mul(q_matrix, store.stacked.reshape(-1, 1), store.q).ravel()
+    by_row = q_matrix.reshape(-1, K, L)
+    # any(-1) of an integer array, without its boolean copy: a quarter of the time
+    present = np.bitwise_or.reduce(by_row, axis=-1) != 0
+    return present, by_row.transpose(1, 0, 2)[present.T]
+
+
+def answer_query(
+    db_id: int, present: np.ndarray, segments: np.ndarray, store: MessageStore
+) -> Answer:
+    """A database's deterministic response: its query times the stacked store.
+
+    The query is in the form of ``query_segments``: a (D, K) boolean
+    ``present`` and the (s, L) ``segments`` it marks (integers; an unsigned
+    wire-dtype array is used as it is). Each message's segments are one
+    contiguous block, multiplied by that message in one product and added
+    into the rows ``present`` names. Any other shape raises ``ValueError``.
+    """
+    K, L = store.data.shape
+    present = np.asarray(present, dtype=bool)
+    if present.ndim != 2 or present.shape[1] != K:
+        raise ValueError(f"presence bitmap of shape {present.shape}, store has K={K} messages")
+    counts = np.count_nonzero(present, axis=0)
+    if np.shape(segments) != (counts.sum(), L):
+        raise ValueError(
+            f"segments of shape {np.shape(segments)}, bitmap marks {counts.sum()} "
+            f"of L={L} symbols"
+        )
+    values = np.zeros(present.shape[0], dtype=np.int64)
+    start = 0
+    for k, n in enumerate(counts):
+        if n:
+            column = store.data[k].reshape(-1, 1)
+            part = linalg.mat_mul(segments[start : start + n], column, store.q)
+            # a row sums at most K residues below q <= 2^31: no int64 overflow
+            values[present[:, k]] += part[:, 0]
+            start += n
+    values %= store.q
     return Answer(db_id=db_id, values=values)
 
 

@@ -1,11 +1,21 @@
 """Simulated replicated-database deployment.
 
 M nodes hold identical message stores; an orchestrator sends each node its
-coefficient-matrix query over a versioned binary wire format, marks up to
-M - N nodes silent (declared non-response, not timeout races), decodes from
-the N lowest-id responders, and records a replayable transcript. Session
-records append to a line-delimited log; the desired index never appears in
-queries, transcripts, or logs.
+query over a versioned binary wire format, marks up to M - N nodes silent
+(declared non-response, not timeout races), decodes from the N lowest-id
+responders, and records a replayable transcript. Session records append to a
+line-delimited log; the desired index never appears in queries, transcripts,
+or logs.
+
+Every message starts with the header {magic, version, kind, width, q}.
+A query (version 2) then carries K, L and D, a D x K presence bitmap (bit
+r*K + k marks row r's segment of message k; bits in little-endian order
+within each byte, padding bits zero) and only the marked L-symbol segments,
+grouped by message, rows in order inside each message. A query's length
+thus depends on which segments of its dense D x K*L matrix are non-zero: the
+layout's block pattern, the same for every desired index, less any segment
+that is zero by chance. An answer (version 1, unchanged) carries its
+database id, D and D symbols.
 """
 
 from __future__ import annotations
@@ -27,7 +37,8 @@ from .linalg import check_modulus
 __all__ = [
     "ParseError",
     "MAGIC",
-    "WIRE_VERSION",
+    "QUERY_VERSION",
+    "ANSWER_VERSION",
     "encode_query",
     "decode_query",
     "encode_answer",
@@ -39,9 +50,11 @@ __all__ = [
 ]
 
 MAGIC = b"TPIR"
-WIRE_VERSION = 1
+QUERY_VERSION = 2  # presence bitmap and non-zero segments; 1 was the dense matrix
+ANSWER_VERSION = 1
 _KIND_QUERY = 1
 _KIND_ANSWER = 2
+_VERSIONS = {_KIND_QUERY: QUERY_VERSION, _KIND_ANSWER: ANSWER_VERSION}
 
 
 class ParseError(ValueError):
@@ -54,18 +67,16 @@ class ParseError(ValueError):
 
 def _header(kind: int, q: int) -> bytes:
     check_modulus(q)  # the parser's rule, so that every message written parses
-    return MAGIC + struct.pack("<BBBQ", WIRE_VERSION, kind, element_width(q), q)
+    return MAGIC + struct.pack("<BBBQ", _VERSIONS[kind], kind, element_width(q), q)
 
 
 _HEADER_LEN = 4 + 3 + 8
 
 
-def _parse(buf: bytes, kind: int, name: str, fields: str, count):
-    """Validate a message of ``kind`` and return (q, its ``fields``, its elements).
+def _parse(buf: bytes, kind: int, name: str, fields: str):
+    """Validate the header of a message of ``kind``; return (q, its ``fields``, their end).
 
-    ``fields`` is the struct format of the fixed fields after the header,
-    and ``count(*fields)`` is the number of elements that must follow them;
-    the elements are a view of ``buf`` in the unsigned wire dtype of q.
+    ``fields`` is the struct format of the fixed fields after the header.
     """
     if len(buf) < _HEADER_LEN:
         raise ParseError(
@@ -74,10 +85,10 @@ def _parse(buf: bytes, kind: int, name: str, fields: str, count):
     if buf[:4] != MAGIC:
         raise ParseError(f"bad magic {buf[:4]!r}, expected {MAGIC!r}", 0)
     version, got_kind, width, q = struct.unpack("<BBBQ", buf[4:_HEADER_LEN])
-    if version != WIRE_VERSION:
-        raise ParseError(f"unsupported version {version}", 4)
     if got_kind != kind:
         raise ParseError(f"wrong message kind {got_kind}, expected {kind}", 5)
+    if version != _VERSIONS[kind]:
+        raise ParseError(f"unsupported {name} version {version}", 4)
     if q > 2**31:  # the rule of check_modulus
         raise ParseError(f"modulus q={q} is above 2^31", 7)
     if q < 2 or width != element_width(q):
@@ -85,38 +96,55 @@ def _parse(buf: bytes, kind: int, name: str, fields: str, count):
     off = _HEADER_LEN + struct.calcsize(fields)
     if len(buf) < off:
         raise ParseError(f"{name} header needs {off} bytes, got {len(buf)}", len(buf))
-    values = struct.unpack(fields, buf[_HEADER_LEN:off])
-    n = count(*values)
-    expected = off + n * width
+    return q, struct.unpack(fields, buf[_HEADER_LEN:off]), off
+
+
+def _elements(buf: bytes, q: int, n: int, off: int) -> np.ndarray:
+    """The ``n`` elements that fill ``buf`` from ``off`` to its end, a view in q's wire dtype."""
+    expected = off + n * element_width(q)
     if len(buf) != expected:
         raise ParseError(
             f"truncated payload: expected {expected} bytes, got {len(buf)}",
             min(len(buf), expected),
         )
-    return q, values, elements_from_bytes(buf, q, n, off)
+    return elements_from_bytes(buf, q, n, off)
 
 
 def encode_query(q_matrix: np.ndarray, q: int, K: int, L: int) -> bytes:
-    """One database's query: header {magic, version, width, q, K, L, D} + rows."""
-    D = q_matrix.shape[0]
-    if q_matrix.shape[1] != K * L:
-        raise ValueError(f"query has {q_matrix.shape[1]} columns, expected K*L={K * L}")
+    """One database's query, from its dense D x K*L matrix.
+
+    The header, K, L and D, then the presence bitmap and the non-zero
+    segments of ``scheme.query_segments``.
+    """
+    present, segments = scheme.query_segments(q_matrix, K, L)
     return (
         _header(_KIND_QUERY, q)
-        + struct.pack("<III", K, L, D)
-        + elements_to_bytes(q_matrix.reshape(-1), q)
+        + struct.pack("<III", K, L, present.shape[0])
+        + np.packbits(present, bitorder="little").tobytes()
+        + elements_to_bytes(segments, q)
     )
 
 
-def decode_query(buf: bytes) -> tuple[np.ndarray, int, int, int]:
-    """Inverse of encode_query: returns (matrix, q, K, L).
+def decode_query(buf: bytes) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+    """Inverse of encode_query: returns (present, segments, q, K, L).
 
-    The matrix is a view of ``buf`` (read-only when ``buf`` is ``bytes``) in
-    the unsigned wire dtype of q's width, range-checked once and not widened
-    to int64; ``answer_query`` uses it as it is.
+    ``present`` is the (D, K) boolean bitmap and ``segments`` the (s, L)
+    segments it marks, message by message, as ``scheme.answer_query`` takes
+    them. The segments are a view of ``buf`` (read-only when ``buf`` is
+    ``bytes``) in the unsigned wire dtype of q's width, range-checked once
+    and not widened to int64. A set padding bit, a body that is not exactly
+    the marked segments, or a query of another version raises ``ParseError``.
     """
-    q, (K, L, D), values = _parse(buf, _KIND_QUERY, "query", "<III", lambda K, L, D: D * K * L)
-    return values.reshape(D, K * L), q, K, L
+    q, (K, L, D), off = _parse(buf, _KIND_QUERY, "query", "<III")
+    end = off + (D * K + 7) // 8
+    if len(buf) < end:
+        raise ParseError(f"bitmap needs {end} bytes, got {len(buf)}", len(buf))
+    bits = np.unpackbits(np.frombuffer(buf, np.uint8, end - off, off), bitorder="little")
+    if bits[D * K :].any():
+        raise ParseError("padding bits of the bitmap are set", end - 1)
+    present = bits[: D * K].view(bool).reshape(D, K)
+    s = int(np.count_nonzero(present))
+    return present, _elements(buf, q, s * L, end).reshape(s, L), q, K, L
 
 
 def encode_answer(answer: scheme.Answer, q: int) -> bytes:
@@ -135,8 +163,8 @@ def decode_answer(buf: bytes) -> tuple[scheme.Answer, int]:
     ``bytes``) in the unsigned wire dtype of q's width; ``Decoder.decode``
     widens them to int64.
     """
-    q, (db_id, _), values = _parse(buf, _KIND_ANSWER, "answer", "<II", lambda db_id, D: D)
-    return scheme.Answer(db_id=db_id, values=values), q
+    q, (db_id, D), off = _parse(buf, _KIND_ANSWER, "answer", "<II")
+    return scheme.Answer(db_id=db_id, values=_elements(buf, q, D, off)), q
 
 
 @dataclass(frozen=True)
@@ -155,11 +183,11 @@ class DatabaseNode:
         """Wire answer to a wire query whose q, K and L must match the store's."""
         if self.behavior == "silent":
             return None
-        q_matrix, q, K, L = decode_query(query_bytes)
+        present, segments, q, K, L = decode_query(query_bytes)
         for name, got, held in zip("qKL", (q, K, L), (self.store.q, *self.store.data.shape)):
             if got != held:
                 raise ValueError(f"query has {name}={got}, store has {name}={held}")
-        ans = scheme.answer_query(self.id, q_matrix, self.store)
+        ans = scheme.answer_query(self.id, present, segments, self.store)
         return encode_answer(ans, q)
 
 
@@ -223,7 +251,7 @@ def run_session(
             answer_bytes[node.id] = reply
 
     used = sorted(answer_bytes)[: p.N]
-    answers = [decode_answer(answer_bytes[m])[0] for m in used]
+    answers = _answers(p, answer_bytes, used)
     decoder = scheme.Decoder(p, desired, secrets, layout)
     decoded = decoder.decode(answers)
     wall = time.perf_counter() - t0
@@ -246,6 +274,21 @@ def run_session(
     }
     _log_session(p, drop_set, session, metrics, store, log_dir)
     return {"decoded": decoded, "session": session, "metrics": metrics}
+
+
+def _answers(p: SchemeParams, answer_bytes: dict, used) -> list[scheme.Answer]:
+    """The parsed answers of databases ``used``.
+
+    An answer whose header names a modulus other than the session's raises
+    ``InvalidAnswerError`` naming the database it came from.
+    """
+    answers = []
+    for m in used:
+        answer, q = decode_answer(answer_bytes[m])
+        if q != p.q:
+            raise scheme.InvalidAnswerError(m, f"modulus q={q}, session has q={p.q}")
+        answers.append(answer)
+    return answers
 
 
 def _log_session(p, drop_set, session, metrics, store, log_dir):
@@ -276,7 +319,7 @@ def _log_session(p, drop_set, session, metrics, store, log_dir):
 def replay_transcript(session: RetrievalSession) -> np.ndarray:
     """Re-decode purely from recorded bytes; must reproduce the decoded message."""
     used = session.transcript["used_responders"]
-    answers = [decode_answer(session.transcript["answer_bytes"][m])[0] for m in used]
+    answers = _answers(session.params, session.transcript["answer_bytes"], used)
     decoder = scheme.Decoder(
         session.params, session.desired, session.secrets, session.plan.layout
     )

@@ -10,6 +10,8 @@ import pytest
 from tpir import audit, field, layout, linalg, scheme, simnet
 from tpir.layout import SchemeParams, build_layout
 
+from query_helpers import answer_dense
+
 
 def run_roundtrip(p: SchemeParams, seed=0, desired=None, responders=None):
     rng = np.random.default_rng(seed)
@@ -18,7 +20,7 @@ def run_roundtrip(p: SchemeParams, seed=0, desired=None, responders=None):
     results = []
     for ell in [desired] if desired is not None else range(p.K):
         plan = scheme.build_queries(p, ell, secrets)
-        answers = [scheme.answer_query(m, plan.matrices[m], store) for m in range(p.M)]
+        answers = [answer_dense(m, plan.matrices[m], store) for m in range(p.M)]
         sub = responders or tuple(range(p.N))
         got = scheme.decode(p, ell, secrets, [answers[m] for m in sub])
         results.append(np.array_equal(got, store.data[ell]))
@@ -41,7 +43,7 @@ def test_roundtrip_every_responder_subset():
     store = scheme.MessageStore.random(p, rng)
     secrets = scheme.sample_secrets(p, rng)
     plan = scheme.build_queries(p, 1, secrets)
-    answers = [scheme.answer_query(m, plan.matrices[m], store) for m in range(p.M)]
+    answers = [answer_dense(m, plan.matrices[m], store) for m in range(p.M)]
     decoder = scheme.Decoder(p, 1, secrets, plan.layout)
     for sub in itertools.combinations(range(p.M), p.N):
         got = decoder.decode([answers[m] for m in sub])
@@ -54,7 +56,7 @@ def test_decode_ignores_answer_order():
     store = scheme.MessageStore.random(p, rng)
     secrets = scheme.sample_secrets(p, rng)
     plan = scheme.build_queries(p, 0, secrets)
-    answers = [scheme.answer_query(m, plan.matrices[m], store) for m in (3, 0, 2)]
+    answers = [answer_dense(m, plan.matrices[m], store) for m in (3, 0, 2)]
     got = scheme.decode(p, 0, secrets, answers)
     assert np.array_equal(got, store.data[0])
 
@@ -92,7 +94,7 @@ def test_answer_lengths_identical():
     secrets = scheme.sample_secrets(p, rng)
     plan = scheme.build_queries(p, 2, secrets)
     lengths = {
-        len(scheme.answer_query(m, plan.matrices[m], store).values)
+        len(answer_dense(m, plan.matrices[m], store).values)
         for m in range(p.M)
     }
     assert lengths == {layout.per_db_download(p)}
@@ -135,14 +137,19 @@ def test_store_validation():
 
 @pytest.mark.parametrize(
     "shape,match",
-    [((8,), r"2-d matrix, got shape \(8,\)"), ((2, 3, 8), r"2-d matrix, got shape \(2, 3, 8\)"),
-     ((3, 5), "5 columns, store has 8 symbols")],
-    ids=["1-d", "3-d", "columns"],
+    [(((2,), 6, 8), r"bitmap of shape \(2,\), store has K=2"),
+     (((2, 3, 2), 12, 8), r"bitmap of shape \(2, 3, 2\), store has K=2"),
+     (((3, 2), 6, 5), r"segments of shape \(6, 5\), bitmap marks 6 of L=4"),
+     (((3, 2), 5, 4), r"segments of shape \(5, 4\), bitmap marks 6 of L=4")],
+    ids=["1-d", "3-d", "columns", "segments"],
 )
 def test_answer_query_rejects_queries_of_the_wrong_shape(shape, match):
     store = scheme.MessageStore(np.ones((2, 4), dtype=np.int64), 5)
+    bitmap, count, length = shape
     with pytest.raises(ValueError, match=match):
-        scheme.answer_query(0, np.ones(shape, dtype=np.int64), store)
+        scheme.answer_query(
+            0, np.ones(bitmap, dtype=bool), np.ones((count, length), dtype=np.int64), store
+        )
 
 
 def test_secrets_shape_mismatch_rejected():
@@ -285,7 +292,7 @@ def test_secrets_and_tables_are_held_in_the_wire_dtype(K, N, T, M, q):
         ref = scheme.build_queries(p, desired, wide)
         for got, want in zip(plan.matrices, ref.matrices):
             assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
-        answers = [scheme.answer_query(m, plan.matrices[m], store) for m in range(M)]
+        answers = [answer_dense(m, plan.matrices[m], store) for m in range(M)]
         got = scheme.Decoder(p, desired, secrets).decode(answers)
         want = scheme.Decoder(p, desired, wide).decode(answers)
         assert got.tobytes() == want.tobytes() and np.array_equal(got, store.data[desired])
@@ -336,7 +343,7 @@ def _decoder_and_answers(p, seed=4):
     store = scheme.MessageStore.random(p, rng)
     secrets = scheme.sample_secrets(p, rng)
     plan = scheme.build_queries(p, 1, secrets)
-    answers = [scheme.answer_query(m, plan.matrices[m], store) for m in range(p.N)]
+    answers = [answer_dense(m, plan.matrices[m], store) for m in range(p.N)]
     return scheme.Decoder(p, 1, secrets, plan.layout), answers
 
 
@@ -423,7 +430,7 @@ def test_stacked_decode_matches_one_subset_at_a_time(point):
         plan = scheme.build_queries(p, desired, secrets)
         # answers[j][m]: database m's answer over store j
         answers = [
-            [scheme.answer_query(m, plan.matrices[m], st) for m in range(p.M)] for st in stores
+            [answer_dense(m, plan.matrices[m], st) for m in range(p.M)] for st in stores
         ]
         answered = np.stack(
             [[a.values for a in per_store] for per_store in answers], axis=-1

@@ -46,8 +46,10 @@ def test_session_decodes_replays_and_counts_its_bytes(case):
 
     m = out["metrics"]
     D, w = build_layout(p, desired).per_db, element_width(p.q)
+    # s non-zero segments of L symbols, over all M queries of the plan
+    s = sum(int(q.reshape(D, p.K, p.L).any(-1).sum()) for q in out["session"].plan.matrices)
     assert m["downloaded_symbols"] == total_download(p)
-    assert m["upload_bytes"] == p.M * (27 + D * p.K * p.L * w)
+    assert m["upload_bytes"] == p.M * (27 + -(-D * p.K // 8)) + s * p.L * w
     assert m["download_bytes"] == p.N * (23 + D * w)
 
 
@@ -72,14 +74,20 @@ def test_one_changed_byte_raises_or_stays_in_range(case, data):
     kind = data.draw(st.sampled_from(["query", "answer"]))
     m = data.draw(st.integers(0, p.M - 1))
     wire = bytearray(session.transcript[f"{kind}_bytes"][m])
-    header = {"query": 27, "answer": 23}[kind]  # then the elements, at least one
-    at = data.draw(st.one_of(st.integers(0, header - 1), st.integers(header, len(wire) - 1)))
+    # the header, then a query's presence bitmap, then the elements, at least one
+    header = {"query": 27, "answer": 23}[kind]
+    bitmap = -(-session.plan.layout.per_db * p.K // 8) if kind == "query" else 0
+    at = data.draw(st.one_of(
+        st.integers(0, header - 1),
+        st.integers(header, header + bitmap - 1) if bitmap else st.nothing(),
+        st.integers(header + bitmap, len(wire) - 1),
+    ))
     wire[at] = data.draw(st.integers(0, 255).filter(lambda b: b != wire[at]))
     wire = bytes(wire)
     try:
         if kind == "query":
-            matrix, q, _, _ = simnet.decode_query(wire)
-            assert 0 <= matrix.min() and matrix.max() < q
+            _, segments, q, _, _ = simnet.decode_query(wire)
+            assert segments.size == 0 or (0 <= segments.min() and segments.max() < q)
             reply = simnet.DatabaseNode(m, store).answer(wire)
             answer, q = simnet.decode_answer(reply)
             assert 0 <= answer.values.min() and answer.values.max() < q

@@ -11,6 +11,8 @@ from tpir import scheme, simnet
 from tpir.field import element_width
 from tpir.layout import SchemeParams, total_download
 
+from query_helpers import decode_dense, v1_query_bytes
+
 
 @pytest.fixture
 def session_setup():
@@ -78,10 +80,12 @@ def test_session_at_the_largest_modulus_decodes():
     assert np.array_equal(simnet.replay_transcript(out["session"]), out["decoded"])
 
 
-# SHA-256 prefixes of a seeded session's query bytes and answer bytes (in
+# SHA-256 prefixes of a seeded session's queries and answer bytes (in
 # database order), its decoded message and the generator's next draw,
-# recorded when sessions drew every secret in full: drawing only the rows a
-# plan reads must leave the stream, and so every byte, unchanged.
+# recorded when sessions drew every secret in full and sent queries as dense
+# version-1 matrices: drawing only the rows a plan reads must leave the
+# stream, and so every byte, unchanged, and each version-2 query must decode
+# to the dense matrix whose version-1 bytes were hashed.
 PINNED_SESSIONS = [
     ((3, 3, 2, 4), 21, 2, (1,), "3a46428177ec1cdd"),
     ((4, 5, 2, 7), 1, 2, (0, 3), "c828fb844301225e"),
@@ -98,7 +102,7 @@ def test_session_reproduces_pinned_bytes_of_full_secrets(point, seed, desired, d
     t = out["session"].transcript
     h = hashlib.sha256()
     for m in sorted(t["query_bytes"]):
-        h.update(t["query_bytes"][m])
+        h.update(v1_query_bytes(*decode_dense(t["query_bytes"][m])))
     for m in sorted(t["answer_bytes"]):
         h.update(t["answer_bytes"][m])
     h.update(out["decoded"].tobytes() + rng.integers(0, 2**62, size=1).tobytes())
@@ -129,7 +133,7 @@ def test_query_bytes_never_mention_desired(session_setup):
     out1 = simnet.run_session(p, 1, store, rng=np.random.default_rng(4))
     for out in (out0, out1):
         for b in out["session"].transcript["query_bytes"].values():
-            mat, q, K, L = simnet.decode_query(b)
+            mat, q, K, L = decode_dense(b)
             assert (q, K, L) == (p.q, p.K, p.L)
 
 
@@ -184,13 +188,42 @@ def test_node_answers_wire_queries_as_int64_queries(point):
         query = plan.matrices[m].astype(np.int64)
         qb = simnet.encode_query(query, p.q, p.K, p.L)
         assert simnet.encode_query(plan.matrices[m], p.q, p.K, p.L) == qb
-        wire, *_ = simnet.decode_query(qb)
+        present, wire, *_ = simnet.decode_query(qb)
         assert wire.dtype == np.dtype(f"u{element_width(p.q)}") and not wire.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             wire %= p.q
-        want = simnet.encode_answer(scheme.answer_query(m, query, store), p.q)
+        answer = scheme.answer_query(m, present, wire.astype(np.int64), store)
+        want = simnet.encode_answer(answer, p.q)
         node = simnet.DatabaseNode(m, store)
         assert node.answer(qb) == want
         # a mutable buffer gives a writable view, which must stay as it was sent
         buf = bytearray(qb)
         assert node.answer(buf) == want and buf == qb
+
+
+def _declaring(buf, q):
+    """Wire bytes with the header's modulus field rewritten to ``q``."""
+    return buf[:7] + q.to_bytes(8, "little") + buf[15:]
+
+
+def test_answer_of_another_modulus_is_rejected(session_setup, monkeypatch):
+    """Database 0's answer declares q = 251 (the same 1-byte width as q = 17):
+    the session and its replay reject it, naming the database."""
+    p, store, _ = session_setup
+    assert p.q == 17
+    out = simnet.run_session(p, 1, store, rng=np.random.default_rng(8))
+    session = out["session"]
+    session.transcript["answer_bytes"][0] = _declaring(session.transcript["answer_bytes"][0], 251)
+    with pytest.raises(scheme.InvalidAnswerError, match="database 0: modulus q=251") as exc:
+        simnet.replay_transcript(session)
+    assert exc.value.db_id == 0
+
+    honest = simnet.DatabaseNode.answer
+
+    def answer(node, query):
+        reply = honest(node, query)
+        return _declaring(reply, 251) if node.id == 0 else reply
+
+    monkeypatch.setattr(simnet.DatabaseNode, "answer", answer)
+    with pytest.raises(scheme.InvalidAnswerError, match="database 0: modulus q=251"):
+        simnet.run_session(p, 1, store, rng=np.random.default_rng(8))
