@@ -9,7 +9,7 @@ Run:  python3 demos/worked_example_two_messages.py
 
 import numpy as np
 
-from tpir import audit, scheme
+from tpir import audit, cli, scheme
 from tpir.layout import SchemeParams, build_layout, total_download
 
 p = SchemeParams(K=2, N=3, T=2, M=3)
@@ -17,8 +17,8 @@ print(f"params: {p.K} messages of N^K = {p.L} symbols over GF({p.q}), "
       f"{p.M} databases, privacy against any {p.T}\n")
 
 # The layout splits each database's answer into blocks by which messages mix.
+cli.main(["layout", "-K", str(p.K), "-N", str(p.N), "-T", str(p.T), "-M", str(p.M)])
 lay = build_layout(p, desired=0)
-print(lay.dump_text())
 
 # The user privately samples one invertible matrix per message ...
 rng = np.random.default_rng(7)
@@ -43,7 +43,7 @@ answers = [
 for a in answers:
     print(f"db {a.db_id} answers {list(a.values)}")
 
-decoded = scheme.decode(p, 0, secrets, answers)
+decoded = scheme.Decoder(p, 0, secrets, lay).decode(answers)
 assert np.array_equal(decoded, store.data[0])
 print(f"\ndecoded message 0: {list(decoded)} — exact match")
 

@@ -22,7 +22,6 @@ from .scheme import (
     achieved_rate,
     answer_query,
     build_queries,
-    decode,
     query_segments,
     sample_secrets,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "achieved_rate",
     "answer_query",
     "build_queries",
-    "decode",
     "query_segments",
     "sample_secrets",
     "__version__",

@@ -581,7 +581,7 @@ def run_audit(
     checks.append(res)
     checks.append(correctness_sweep(p, trials=trials, rng=rng))
 
-    if empirical_samples:
+    if empirical_samples is not None:
         checks.append(empirical_privacy_check(
             p, tuple(range(p.T)), empirical_samples, rng=rng, break_alignment=break_alignment
         ))

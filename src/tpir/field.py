@@ -83,12 +83,15 @@ def element_dtype(q: int) -> np.dtype:
 
 
 def as_elements(values) -> np.ndarray:
-    """``values`` as an array: unsigned integer arrays as they are, anything else as int64.
+    """``values`` as an array: unsigned integer arrays as they are, signed ones as int64.
 
     So wire values, which are unsigned, are range-tested and multiplied in
-    their own dtype and never copied into int64.
+    their own dtype and never copied into int64. Any other dtype, float or
+    bool, raises ``ValueError`` rather than being truncated into the field.
     """
     values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"values of dtype {values.dtype}, not integers")
     return values if values.dtype.kind == "u" else values.astype(np.int64, copy=False)
 
 

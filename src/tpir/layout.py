@@ -200,26 +200,6 @@ class BlockLayout:
         parity = self.by_subset[b.aligned].coords(dbs)
         return np.concatenate([b.coords(dbs), b.block_len + parity], axis=-1)
 
-    def dump_text(self) -> str:
-        p = self.params
-        lines = [
-            f"layout for K={p.K} N={p.N} T={p.T} M={p.M} q={p.q} desired={self.desired}",
-            f"{'block':<16}{'alpha':>6}{'len':>6}{'per-db':>7}  role",
-        ]
-        for b in self.blocks:
-            name = "{" + ",".join(map(str, b.subset)) + "}"
-            if b.contains_desired:
-                role = f"desired codeword [{b.desired_offset}:{b.desired_offset + b.block_len})"
-            elif b.code is None:
-                role = "no core coordinates, no code"
-            else:
-                role = f"info segment of ({b.code.n},{b.code.k}) code; rows " + ", ".join(
-                    f"S{k}[{lo}:{hi}]" for k, (lo, hi) in sorted(b.secret_rows.items())
-                )
-            lines.append(f"{name:<16}{b.alpha:>6}{b.block_len:>6}{b.per_db_len:>7}  {role}")
-        lines.append(f"per-database total: {self.per_db} of {self.per_db * p.N} overall")
-        return "\n".join(lines)
-
 
 def canonical_subsets(K: int) -> list[tuple[int, ...]]:
     """All non-empty subsets of range(K), by size then lexicographic order."""

@@ -10,14 +10,11 @@ integers are exact while they stay below 2^53. While ``inner * (q-1)^2`` is
 under that bound the operands are cast to float64 and multiplied once;
 above it each operand is split into 16-bit limbs, and the limb products,
 each exact, are reduced mod q and recombined (the error-free splitting of
-Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012). A product with a
-one-column right operand and a large left operand, such as a database's
-answer, casts the left operand one cache-sized panel at a time instead of
-copying it whole. ``mat_mul`` reduces an operand only if an entry lies
-outside [0, q): callers pass residues, so a product pays one range test per
-operand, not a ``% q`` copy. An unsigned integer operand, such as a query
-plan or a query read from the wire, keeps its dtype until the product casts
-it.
+Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012). ``mat_mul``
+reduces an operand only if an entry lies outside [0, q): callers pass
+residues, so a product pays one range test per operand, not a ``% q`` copy.
+An unsigned integer operand, such as a query plan or a query read from the
+wire, keeps its dtype until the product casts it.
 
 Inversion is a recursive in-place Gauss-Jordan elimination (Quintana,
 Quintana, Sun and van de Geijn, SIAM J. Sci. Comput. 22(5), 2001). Its
@@ -87,44 +84,14 @@ def _int64_copy(a) -> np.ndarray:
     return arr
 
 
-# Left-operand entries cast to float64 at a time in a streamed one-column
-# product: a 512 KB panel, about one core's L2 cache. Much smaller panels
-# (2^12 entries) made a 203 x 2500 query's answer slower than one whole cast.
-_PANEL = 2**16
-
 # Inner length up to which a product of 16-bit limbs stays below 2^53.
 _LIMB_INNER = (2**53 - 1) // (2**16 - 1) ** 2
 
 
 def _float_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b on float64 BLAS, as a fresh int64 array; neither operand is written.
-
-    Exact while every inner product of the entries stays below 2^53. A
-    product whose right operand has one column and whose left operand holds
-    more than ``_PANEL`` entries (and covers the whole broadcast stack) is
-    streamed: the left operand is cast one panel at a time, a group of whole
-    slices or a band of one slice's rows, into one reused float64 buffer, so
-    its float64 copy is never made. Every other product casts each operand
-    once: wider products keep one BLAS call, as split panels slowed them.
-    """
-    stack = a.shape[:-2]
-    if b.shape[-1] != 1 or a.size <= _PANEL or np.broadcast_shapes(stack, b.shape[:-2]) != stack:
-        product = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
-        return product.astype(np.int64)
-    m, k = a.shape[-2:]
-    a = a.reshape((-1, m, k))
-    b = np.broadcast_to(b.astype(np.float64), stack + (k, 1)).reshape((-1, k, 1))
-    rows = min(m, max(1, _PANEL // k))  # of one slice, per panel
-    group = max(1, _PANEL // (rows * k))  # slices per panel; 1 unless rows == m
-    buf = np.empty((group, rows, k))
-    out = np.empty((len(a), m, 1))
-    for s in range(0, len(a), group):
-        for r in range(0, m, rows):
-            part = a[s : s + group, r : r + rows]
-            panel = buf[: len(part), : part.shape[1]]
-            panel[...] = part
-            np.matmul(panel, b[s : s + group], out=out[s : s + group, r : r + rows])
-    return out.reshape(stack + (m, 1)).astype(np.int64)
+    """a @ b on float64 BLAS, as a fresh int64 array; exact below 2^53, neither operand written."""
+    product = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+    return product.astype(np.int64)
 
 
 def _limbs(x: np.ndarray, axis: int) -> np.ndarray:
@@ -139,14 +106,13 @@ def _product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     are int64 or unsigned integer arrays, are never written and are not
     widened before the product, and q is at most 2^31. While
     ``inner * (q-1)^2 < 2^53`` one float64 product is exact and its result
-    is returned unreduced; a one-column product streams (``_float_product``).
-    Otherwise a = a_hi * 2^16 + a_lo and b likewise, with limbs below 2^16,
-    so a @ b = hh * 2^32 + (hl + lh) * 2^16 + ll: the four limb products run
-    as one float64 product of [a_lo; a_hi] and [b_lo | b_hi], over chunks of
-    at most ``_LIMB_INNER`` inner terms so that each stays exact (below
-    2^53). hh and hl + lh are reduced mod q in int64 and recombined with
-    2^32 and 2^16 mod q; with residues below 2^31 no step leaves int64.
-    That result is reduced.
+    is returned unreduced. Otherwise a = a_hi * 2^16 + a_lo and b likewise,
+    with limbs below 2^16, so a @ b = hh * 2^32 + (hl + lh) * 2^16 + ll: the
+    four limb products run as one float64 product of [a_lo; a_hi] and
+    [b_lo | b_hi], over chunks of at most ``_LIMB_INNER`` inner terms so that
+    each stays exact (below 2^53). hh and hl + lh are reduced mod q in int64
+    and recombined with 2^32 and 2^16 mod q; with residues below 2^31 no
+    step leaves int64. That result is reduced.
     """
     if a.shape[-1] * (q - 1) ** 2 < 2**53:
         return _float_product(a, b)
@@ -169,12 +135,12 @@ def mat_mul(a, b, q: int) -> np.ndarray:
 
     Neither operand is written to; each is reduced, into a copy, only if an
     entry lies outside [0, q). An unsigned integer operand is used in its
-    own dtype, with no int64 copy; any other is read as int64. The result is
-    a fresh int64 array whatever the operand dtypes. The product runs on
-    float64 BLAS, in one piece or in 16-bit limbs (see ``_product``); with a
-    one-column right operand a large left operand is cast one panel at a
-    time. Either operand may be a stack of matrices along leading axes;
-    stacks broadcast as they do for ``@``.
+    own dtype, with no int64 copy; a signed one is read as int64, and one of
+    any other dtype raises ``ValueError``. The result is a fresh int64
+    array whatever the operand dtypes. The product runs on float64 BLAS, in
+    one piece or in 16-bit limbs (see ``_product``). Either operand may be a
+    stack of matrices along leading axes; stacks broadcast as they do for
+    ``@``.
     """
     check_modulus(q)
     a, b = as_elements(a), as_elements(b)
@@ -363,10 +329,12 @@ def sample_uniform_full_rank(
     (draw, row) order; then ``integers(0, q, size=d*n(n-1)/2)`` for C's
     below-diagonal entries in row-major order, draw after draw. Raises
     ``ValueError``, before any call, for n < 1, for q < 2 (no row could be
-    nonzero) and for ``rows`` outside 1..n.
+    nonzero), for ``count`` < 1 and for ``rows`` outside 1..n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if count is not None and count < 1:
+        raise ValueError(f"count={count}; a stack needs at least one draw")
     if q < 2:
         raise ValueError(f"q={q}: a nonzero row needs q >= 2")
     r = n if rows is None else rows

@@ -9,7 +9,6 @@ globally known; only the secret matrices it multiplies are random.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,7 +23,6 @@ __all__ = [
     "generator",
     "submatrix_inverse",
     "vandermonde_inverse",
-    "verify_mds_property",
 ]
 
 
@@ -71,18 +69,6 @@ def first_singular(spec: MdsSpec, coord_sets) -> int | None:
         if not np.array_equal(linalg.mat_mul(inv, g[c], spec.q), eye):
             return i
     return None
-
-
-def verify_mds_property(spec: MdsSpec) -> bool:
-    """Check that every k-row submatrix of the generator is invertible.
-
-    Exhaustive over all C(n, k) row subsets, n at a time through
-    ``first_singular``, so memory stays bounded. Returns True on success,
-    False if some submatrix is singular.
-    """
-    subsets = itertools.combinations(range(spec.n), spec.k)
-    batches = iter(lambda: list(itertools.islice(subsets, spec.n)), [])
-    return all(first_singular(spec, batch) is None for batch in batches)
 
 
 def submatrix_inverse(spec: MdsSpec, coords) -> np.ndarray:

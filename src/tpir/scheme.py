@@ -45,7 +45,6 @@ __all__ = [
     "answer_query",
     "subset_tables",
     "Decoder",
-    "decode",
     "achieved_rate",
 ]
 
@@ -432,13 +431,6 @@ def _code_symbols(layout: BlockLayout, tables: SubsetTables, answered: np.ndarra
     return np.concatenate(
         [linalg.mat_mul(inv, ys, q) for inv, ys in zip(tables.desired_inv, y)], axis=1
     )
-
-
-def decode(
-    params: SchemeParams, desired: int, secrets: SchemeSecrets, answers
-) -> np.ndarray:
-    """One-shot decode; build a Decoder directly when sweeping subsets."""
-    return Decoder(params, desired, secrets).decode(answers)
 
 
 def achieved_rate(params: SchemeParams) -> Fraction:

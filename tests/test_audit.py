@@ -16,6 +16,8 @@ import tpir
 from tpir import audit, field, layout, linalg, mds, scheme
 from tpir.layout import SchemeParams
 
+from mds_helpers import is_mds
+
 
 @pytest.mark.parametrize(
     "K,N,T,expected",
@@ -203,8 +205,8 @@ def test_certification_catches_one_wrong_inverse(monkeypatch):
     corrupt_one_inverse(monkeypatch, spec, sets[40])
     assert mds.first_singular(spec, sets) == 40
     assert mds.first_singular(spec, sets[41:]) is None
-    assert not mds.verify_mds_property(spec)
-    assert mds.verify_mds_property(mds.MdsSpec(9, 5, 11))
+    assert not is_mds(spec)
+    assert is_mds(mds.MdsSpec(9, 5, 11))
 
 
 @pytest.mark.parametrize("view", ["pair", "desired"])
@@ -558,7 +560,6 @@ def test_run_audit_assembles_report():
 
 @pytest.mark.parametrize("broken", [False, True])
 def test_run_audit_at_the_benchmark_session_point(broken):
-    # L = 625, where the streamed one-column products run
     report = audit.run_audit(SchemeParams(4, 5, 2, 7), trials=2, seed=3, break_alignment=broken)
     assert report.passed, report.lines()
     checks = {c.name: c for c in report.checks}

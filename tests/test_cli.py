@@ -253,6 +253,14 @@ def test_audit_zero_trials_is_usage_error(capsys):
     assert "trials=0" in err
 
 
+def test_audit_zero_samples_is_usage_error(capsys):
+    # -R 0 must not skip the empirical check and pass
+    code, out, err = run(capsys, "audit", "-K", "2", "-N", "2", "-T", "1",
+                         "--seed", "1", "-R", "0")
+    assert code == 2
+    assert out == "" and "sample_count=0" in err
+
+
 def test_simulate_with_drops(capsys):
     code, out, _ = run(capsys, "simulate", "-K", "2", "-N", "3", "-T", "2",
                        "-M", "5", "--drop", "1,3", "--seed", "2")

@@ -54,6 +54,9 @@ def test_bytes_reject_out_of_range():
     with pytest.raises(ValueError):
         field.elements_from_bytes(bytes([9]), 7, 1)
     assert field.elements_from_bytes(buf, 7, 1)[0] == 4
+    # a float is not truncated into the field
+    with pytest.raises(ValueError, match="not integers"):
+        field.elements_to_bytes(np.array([4.5]), 7)
     # a modulus that needs 8-byte elements is rejected before any is read,
     # so no value of 2^63 or more can wrap negative in int64
     for value in (2**63, 2**64 - 1):

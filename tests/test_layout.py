@@ -118,16 +118,6 @@ def test_t_equals_n_downloads_everything():
     assert scheme.achieved_rate(p) == Fraction(1, p.K)
 
 
-def test_dump_text_names_no_code_for_a_pair_block_without_core():
-    # at T = N the pair blocks of two or more messages have alpha = 0 and no code
-    lay = build_layout(SchemeParams(3, 2, 2, 3), 0)
-    lines = {line.split()[0]: line for line in lay.dump_text().splitlines()[2:-1]}
-    assert lay.by_subset[(1, 2)].code is None
-    assert lines["{1,2}"].endswith("no core coordinates, no code")
-    assert lines["{1}"].endswith("info segment of (12,8) code; rows S1[0:8]")
-    assert "(0,0)" not in lay.dump_text()
-
-
 def test_param_validation():
     with pytest.raises(ValueError):
         SchemeParams(0, 2, 1, 2)

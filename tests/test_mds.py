@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from tpir import linalg, mds
 
+from mds_helpers import is_mds
+
 
 def test_generator_shape_and_determinism():
     spec = mds.MdsSpec(9, 6, 11)
@@ -141,7 +143,7 @@ def test_submatrix_inverse_rejects_bad_coordinates(coords, message):
 
 def test_verify_mds_property_exhaustive():
     spec = mds.MdsSpec(9, 6, 11)
-    assert mds.verify_mds_property(spec)
+    assert is_mds(spec)
     assert mds.first_singular(spec, list(itertools.combinations(range(9), 6))) is None
     with pytest.raises(ValueError, match="distinct"):
         mds.first_singular(spec, [(0, 1, 2, 3, 4, 4)])

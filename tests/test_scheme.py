@@ -22,7 +22,7 @@ def run_roundtrip(p: SchemeParams, seed=0, desired=None, responders=None):
         plan = scheme.build_queries(p, ell, secrets)
         answers = [answer_dense(m, plan.matrices[m], store) for m in range(p.M)]
         sub = responders or tuple(range(p.N))
-        got = scheme.decode(p, ell, secrets, [answers[m] for m in sub])
+        got = scheme.Decoder(p, ell, secrets).decode([answers[m] for m in sub])
         results.append(np.array_equal(got, store.data[ell]))
     return store, results
 
@@ -57,7 +57,7 @@ def test_decode_ignores_answer_order():
     secrets = scheme.sample_secrets(p, rng)
     plan = scheme.build_queries(p, 0, secrets)
     answers = [answer_dense(m, plan.matrices[m], store) for m in (3, 0, 2)]
-    got = scheme.decode(p, 0, secrets, answers)
+    got = scheme.Decoder(p, 0, secrets).decode(answers)
     assert np.array_equal(got, store.data[0])
 
 
@@ -150,6 +150,13 @@ def test_answer_query_rejects_queries_of_the_wrong_shape(shape, match):
         scheme.answer_query(
             0, np.ones(bitmap, dtype=bool), np.ones((count, length), dtype=np.int64), store
         )
+
+
+def test_answer_query_rejects_segments_that_are_not_integers():
+    # float segments would be truncated into the honest answer
+    store = scheme.MessageStore(np.ones((2, 4), dtype=np.int64), 5)
+    with pytest.raises(ValueError, match="float64, not integers"):
+        scheme.answer_query(0, np.ones((3, 2), dtype=bool), np.ones((6, 4)) + 0.5, store)
 
 
 def test_secrets_shape_mismatch_rejected():
