@@ -319,10 +319,7 @@ def empirical_privacy_check(
         )
     if len(t_subset) != p.T:
         raise ValueError(f"collusion subset must have size T={p.T}")
-    if p.K < 2:
-        raise ValueError("empirical privacy compares desired indices; it needs K >= 2")
-    if sample_count < 1:
-        raise ValueError(f"sample_count={sample_count}; increase the sample count")
+    _check_counts(p, sample_count=sample_count)
     name = "empirical_privacy" + ("_broken" if break_alignment else "")
 
     layouts = [build_layout(p, ell) for ell in range(p.K)]
@@ -468,6 +465,20 @@ def _sorted_rows(stack: np.ndarray) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
+def _check_counts(p: SchemeParams, trials: int = 1, sample_count: int | None = None) -> None:
+    """Raise ``ValueError`` for a sweep of no ``trials`` or an empirical check
+    (``sample_count`` given) of no samples or with K < 2: the one statement
+    of each rule, for the checks and for ``run_audit`` before any check runs."""
+    if trials < 1:
+        raise ValueError(f"trials={trials}; the sweep needs at least one store to decode")
+    if sample_count is None:
+        return
+    if p.K < 2:
+        raise ValueError("empirical privacy compares desired indices; it needs K >= 2")
+    if sample_count < 1:
+        raise ValueError(f"sample_count={sample_count}; increase the sample count")
+
+
 def correctness_sweep(
     params: SchemeParams,
     trials: int = 10,
@@ -484,8 +495,7 @@ def correctness_sweep(
     ``ValueError`` before anything is drawn."""
     p = params
     name = "correctness_sweep"
-    if trials < 1:
-        raise ValueError(f"trials={trials}; the sweep needs at least one store to decode")
+    _check_counts(p, trials)
     secrets = scheme.sample_secrets(p, rng)
     subsets = _t_subsets(p.M, p.N, _SWEEP_SUBSETS, rng)
     stores = [scheme.MessageStore.random(p, rng) for _ in range(trials)]
@@ -553,9 +563,10 @@ def run_audit(
     """Full audit of one parameter point; drives the CLI ``audit`` command.
 
     ``break_alignment`` checks plans broken by ``without_alignment`` instead.
-    ``lemma1`` arguments the exhaustive check cannot take raise
-    ``ValueError`` before any check runs.
+    Counts (``_check_counts``) and ``lemma1`` arguments the checks cannot
+    take raise ``ValueError`` before any check runs.
     """
+    _check_counts(params, trials, empirical_samples)
     if lemma1 is not None:
         _check_lemma1_args(*lemma1)
     p = params

@@ -23,7 +23,7 @@ unblocked loop on its own columns, and each half's transform reaches the
 other half as one BLAS product. Columns not yet pivoted take those products
 unreduced; only what pivoting reads and what a product takes as an operand
 is reduced (the delayed reduction of FFLAS-FFPACK, Dumas, Giorgi and Pernet,
-ACM TOMS 2008). ``rank`` runs an unblocked loop of its own.
+ACM TOMS 2008). It is the module's one elimination.
 
 GL(n, q) has one construction here: each element is the product of exactly
 one pair of factors (D. Randall, "Efficient generation of random nonsingular
@@ -46,7 +46,6 @@ __all__ = [
     "SingularMatrixError",
     "check_modulus",
     "mat_mul",
-    "rank",
     "invert",
     "solve",
     "sample_uniform_full_rank",
@@ -56,12 +55,11 @@ __all__ = [
 
 
 class SingularMatrixError(ValueError):
-    """Raised when a square system turns out rank-deficient."""
+    """Raised by ``invert`` and ``solve`` for a singular square matrix; ``size`` is its order."""
 
-    def __init__(self, rank: int, size: int):
-        self.rank = rank
+    def __init__(self, size: int):
         self.size = size
-        super().__init__(f"singular matrix: rank {rank} < {size}")
+        super().__init__(f"singular {size} x {size} matrix")
 
 
 def check_modulus(q: int) -> None:
@@ -74,14 +72,6 @@ def check_modulus(q: int) -> None:
     """
     if (q - 1) ** 2 >= 2**62:
         raise ValueError(f"q={q} too large: exact GF(q) arithmetic here needs q <= 2^31")
-
-
-def _int64_copy(a) -> np.ndarray:
-    """A fresh int64 copy of the 2-d matrix ``a``, whatever its integer dtype."""
-    arr = np.array(a, dtype=np.int64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected 2-d matrix, got shape {arr.shape}")
-    return arr
 
 
 # Inner length up to which a product of 16-bit limbs stays below 2^53.
@@ -155,52 +145,6 @@ def mat_mul(a, b, q: int) -> np.ndarray:
     return out
 
 
-def _pivot_loop(a: np.ndarray, q: int, ncols: int):
-    """Unblocked Gaussian elimination of ``a`` in place; returns (rank, pivot column list).
-
-    Rows below the pivot row are left unreduced between steps, and a full
-    ``% q`` runs when int64 headroom would otherwise run out.
-    """
-    m = a.shape[0]
-    # Each deferred step adds at most (q-1)^2 in magnitude.
-    budget = max(1, (2**62) // ((q - 1) ** 2 + 1))
-    steps = 0
-    r = 0
-    pivots = []
-    for col in range(ncols):
-        if r == m:
-            break
-        colvals = a[r:, col] % q
-        nz = np.nonzero(colvals)[0]
-        if nz.size == 0:
-            a[r:, col] = colvals
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] %= q
-        pinv = pow(int(a[r, col]), -1, q)
-        a[r] = a[r] * pinv % q
-        factors = a[r + 1 :, col] % q
-        a[r + 1 :] -= np.outer(factors, a[r])
-        pivots.append(col)
-        r += 1
-        steps += 1
-        if steps >= budget:
-            a %= q
-            steps = 0
-    a %= q
-    return r, pivots
-
-
-def rank(a, q: int) -> int:
-    """Rank over GF(q) by Gaussian elimination in the unblocked loop, ``_pivot_loop``."""
-    check_modulus(q)
-    work = _int64_copy(a)
-    work %= q
-    return _pivot_loop(work, q, work.shape[1])[0]
-
-
 # Widest leaf of the recursive inversion, in columns; leaves have _LEAF/2 to
 # _LEAF. At n = 256 and 625, widths from 24 to 48 took about the same time.
 _LEAF = 32
@@ -263,27 +207,29 @@ def _gauss_jordan(w: np.ndarray, q: int, c0: int, c1: int, order: np.ndarray) ->
 def invert(a, q: int) -> np.ndarray:
     """Inverse of a square matrix over GF(q), for q <= 2^31 (a larger q raises ``ValueError``).
 
-    Raises ``SingularMatrixError``, carrying the rank of ``a``, if singular.
+    Raises ``SingularMatrixError`` if ``a`` is singular. ``a`` is read as
+    ``mat_mul`` reads an operand: a dtype other than integer raises
+    ``ValueError``, and ``a`` is reduced, in its own dtype so that no
+    unsigned entry wraps, only if an entry lies outside [0, q).
 
     ``a`` is never written. ``_gauss_jordan`` overwrites each pivot column
-    of one int64 residue copy of it, the only copy made whatever its integer
-    dtype, with its column of the transform. Rows are swapped whole, so the
-    copy ends as the inverse of the row-permuted ``a``, whose columns are
-    permuted back once. Product operands are residues, so a product's
-    entries are below 2^53 (float path of ``_product``) or q (limb path). An
-    entry takes at most one unreduced product per recursion level, and with
-    fewer than 64 levels stays below q + 2^59 < 2^63 for any n.
+    of one int64 copy of the residues with its column of the transform.
+    Rows are swapped whole, so the copy ends as the inverse of the
+    row-permuted ``a``, whose columns are permuted back once. Product
+    operands are residues, so a product's entries are below 2^53 (float
+    path of ``_product``) or q (limb path). An entry takes at most one
+    unreduced product per recursion level, and with fewer than 64 levels
+    stays below q + 2^59 < 2^63 for any n.
     """
     check_modulus(q)
-    w = _int64_copy(a)
+    a = as_elements(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix not square: {a.shape}")
+    w = (a % q if outside_field(a, q) else a).astype(np.int64)
     n = w.shape[0]
-    if w.shape[1] != n:
-        raise ValueError(f"matrix not square: {w.shape}")
-    if outside_field(w, q):
-        w %= q
     order = np.arange(n)
     if not _gauss_jordan(w, q, 0, n, order):
-        raise SingularMatrixError(rank(a, q), n)
+        raise SingularMatrixError(n)
     return w[:, np.argsort(order)]
 
 

@@ -261,6 +261,31 @@ def test_audit_zero_samples_is_usage_error(capsys):
     assert out == "" and "sample_count=0" in err
 
 
+@pytest.mark.parametrize(
+    "point,count,message",
+    [
+        ("4 5 2 7", ["--trials", "0"], "trials=0"),
+        ("4 5 2 7", ["-R", "0"], "sample_count=0"),
+        ("1 2 1 3", ["-R", "200"], "K >= 2"),
+    ],
+    ids=["no-trials", "no-samples", "one-message"],
+)
+def test_audit_bad_counts_are_usage_errors_before_any_check(capsys, monkeypatch, point, count,
+                                                           message):
+    # at the benchmark's L = 625 point the checks before the empirical one
+    # would take most of a second; a bad count must be rejected first
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    for check in ("capacity_shape_check", "structural_privacy_check"):
+        monkeypatch.setattr(audit, check, no_check)
+    K, N, T, M = point.split()
+    code, out, err = run(capsys, "audit", "-K", K, "-N", N, "-T", T, "-M", M,
+                         "--seed", "1", *count)
+    assert code == 2
+    assert out == "" and message in err
+
+
 def test_simulate_with_drops(capsys):
     code, out, _ = run(capsys, "simulate", "-K", "2", "-N", "3", "-T", "2",
                        "-M", "5", "--drop", "1,3", "--seed", "2")

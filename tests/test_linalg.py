@@ -9,6 +9,8 @@ from scipy import stats
 
 from tpir import field, linalg
 
+from linalg_helpers import rank, reference_eliminate
+
 
 def gl_order(n, q):
     """|GL(n,q)| by the classical product formula."""
@@ -24,7 +26,7 @@ def _brute_force_group(n, q):
     return {
         m.tobytes()
         for m in every.reshape(-1, n, n)
-        if _reference_eliminate(m.copy(), q, n, jordan=False)[0] == n
+        if rank(m, q) == n
     }
 
 
@@ -57,7 +59,7 @@ def test_invert_round_trip(mq):
     try:
         inv = linalg.invert(a, q)
     except linalg.SingularMatrixError as e:
-        assert e.rank < n
+        assert rank(a, q) < n and e.size == n
         return
     assert np.array_equal(linalg.mat_mul(a, inv, q), np.eye(n, dtype=np.int64))
     assert np.array_equal(linalg.mat_mul(inv, a, q), np.eye(n, dtype=np.int64))
@@ -70,19 +72,11 @@ def test_solve_round_trip(mq, columns, seed):
     try:
         x = linalg.solve(a, y, q)
     except linalg.SingularMatrixError as e:
-        assert e.rank < a.shape[0]
+        assert rank(a, q) < a.shape[0] and e.size == a.shape[0]
         return
     assert x.shape == y.shape and x.dtype == np.int64
     assert np.array_equal(linalg.mat_mul(a, x, q), y)
     assert np.array_equal(x, linalg.mat_mul(linalg.invert(a, q), y, q))
-
-
-@given(square_matrix(), st.integers(0, 2**32 - 1))
-def test_rank_invariant_under_row_permutation(mq, seed):
-    a, q = mq
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(a.shape[0])
-    assert linalg.rank(a, q) == linalg.rank(a[perm], q)
 
 
 # One modulus per product path of mat_mul at small inner dimension: one
@@ -301,7 +295,7 @@ def test_sampler_output_always_invertible(n, q):
     rng = np.random.default_rng(7)
     for _ in range(200):
         m = linalg.sample_uniform_full_rank(n, q, rng)
-        assert linalg.rank(m, q) == n
+        assert rank(m, q) == n
 
 
 def _with_stacked(shapes):
@@ -336,7 +330,7 @@ def test_sampler_uniform_over_group(n, q, stacked):
 def test_sampler_huge_dimension_smoke():
     rng = np.random.default_rng(1)
     m = linalg.sample_uniform_full_rank(64, 65537, rng)
-    assert linalg.rank(m, 65537) == 64
+    assert rank(m, 65537) == 64
 
 
 # One prime per range of 64-term inner products of residues: within
@@ -372,27 +366,11 @@ def _rank_r(m, n, r, q, rng, zero_cols=slice(0, 0)):
     return linalg.mat_mul(x, y, q)
 
 
-@pytest.mark.parametrize("q", [2, FLOAT_Q, INT64_Q, OBJECT_Q])
-@pytest.mark.parametrize(
-    "m,n,r,zero_cols",
-    [
-        (150, 150, 100, slice(0, 0)),
-        (150, 150, 70, slice(64, 128)),  # the second panel has no pivot column
-        (40, 300, 30, slice(0, 0)),  # wide
-        (70, 200, 70, slice(10, 90)),  # wide, full row rank
-    ],
-)
-def test_rank_of_built_rank_r_matrices(q, m, n, r, zero_cols):
-    a = _rank_r(m, n, r, q, np.random.default_rng(m * n + r), zero_cols)
-    assert linalg.rank(a, q) == r
-    assert linalg.rank(a.T, q) == r
-
-
 def _reference_inverse(a, q):
     """The right half of [a | I] after the unblocked reference loop, and the rank it found."""
     n = a.shape[0]
     aug = np.concatenate([a % q, np.eye(n, dtype=np.int64)], axis=1)
-    return aug[:, n:], _reference_eliminate(aug, q, n, jordan=True)[0]
+    return aug[:, n:], reference_eliminate(aug, q, n, jordan=True)[0]
 
 
 def _zero_lead(n, k, q, rng):
@@ -466,16 +444,16 @@ def test_invert_matches_reference_on_structured_matrices(kind, n, q):
 def test_invert_singular_only_in_last_leaf_reports_the_rank(n, dependent, q):
     # the last ``dependent`` columns are combinations of the others, so every
     # leaf but the last pivots in full and the last finds a column without
-    # a pivot
+    # a pivot; the error reports the order, the reference loop the rank
     rng = np.random.default_rng([n, dependent, q % 1000])
     a = linalg.sample_uniform_full_rank(n, q, rng)
     a[:, n - dependent :] = linalg.mat_mul(
         a[:, : n - dependent], rng.integers(0, q, size=(n - dependent, dependent)), q
     )
-    assert linalg.rank(a, q) == _reference_inverse(a, q)[1] == n - dependent
+    assert rank(a, q) == _reference_inverse(a, q)[1] == n - dependent
     with pytest.raises(linalg.SingularMatrixError) as exc:
         linalg.invert(a, q)
-    assert (exc.value.rank, exc.value.size) == (n - dependent, n)
+    assert exc.value.size == n
 
 
 def test_invert_takes_unreduced_entries():
@@ -511,7 +489,7 @@ def test_sampler_reproduces_pinned_stream(n, q, seed, digest):
 def test_sampler_blocked_dimension_is_full_rank_and_seeded():
     m = linalg.sample_uniform_full_rank(130, 5, np.random.default_rng(11))
     assert m.shape == (130, 130)
-    assert linalg.rank(m, 5) == 130
+    assert rank(m, 5) == 130
     assert np.array_equal(m, linalg.sample_uniform_full_rank(130, 5, np.random.default_rng(11)))
 
 
@@ -553,7 +531,7 @@ def test_sampler_factor_choices_cover_group_once(n, q, stacked):
             mats.append(linalg.sample_uniform_full_rank(n, q, rng))
             assert rng.draws == []
     for m in mats:
-        assert linalg.rank(m, q) == n
+        assert rank(m, q) == n
     assert len({m.tobytes() for m in mats}) == len(choices) == gl_order(n, q)
 
 
@@ -564,7 +542,7 @@ def test_sampler_redraws_all_zero_rows(n):
     rng = _Replay([0] * (n * (n + 1) // 2), *redraws, [0] * (n * (n - 1) // 2))
     m = linalg.sample_uniform_full_rank(n, 2, rng)
     assert rng.draws == []
-    assert linalg.rank(m, 2) == n
+    assert rank(m, 2) == n
     assert np.array_equal(m, np.triu(np.ones((n, n), dtype=np.int64)))
 
 
@@ -634,51 +612,18 @@ def test_sampler_rejects_an_empty_stack_before_drawing(count, rows):
     assert rng.bit_generator.state == state
 
 
-def _reference_eliminate(a, q, ncols, jordan):
-    """Unblocked Gauss(-Jordan) elimination reducing every step: the test oracle."""
-    m = a.shape[0]
-    r = 0
-    pivots = []
-    for col in range(ncols):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, col] % q)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, col]), -1, q) % q
-        below = slice(None) if jordan else slice(r + 1, None)
-        factors = a[below, col].copy()
-        if jordan:
-            factors[r] = 0
-        a[below] = (a[below] - np.outer(factors, a[r])) % q
-        pivots.append(col)
-        r += 1
-    return r, pivots
-
-
 # The largest prime with 64 * (q-1)^2 < 2^63. At n = 448 invert runs on limb
-# products and its leaves, 28 columns wide, reduce only at their end, and the
-# unblocked loop of ``rank``, which defers at most 2^62 / (q-1)^2 = 32 steps,
-# has to reduce. At n = 200 every range of inner products runs.
+# products and its leaves, 28 columns wide, reduce only at their end. At
+# n = 200 every range of inner products runs.
 INT64_EDGE_Q = 379625047
 
 
 @pytest.mark.parametrize(
     "n,q", [(200, FLOAT_Q), (200, INT64_Q), (200, OBJECT_Q), (448, INT64_EDGE_Q)]
 )
-@pytest.mark.parametrize("jordan", [False, True])
-def test_eliminate_leaves_entries_reduced(n, q, jordan):
-    """Gauss-Jordan through ``invert``; plain echelon form through ``rank``'s loop."""
-    rng = np.random.default_rng(q % 1000 + jordan)
-    if not jordan:  # echelon form is not unique: compare ranks and pivots
-        a = _rank_r(n, n, n - 9, q, rng)
-        want = _reference_eliminate(a.copy(), q, n, jordan=False)
-        assert linalg.rank(a, q) == want[0] == n - 9
-        assert linalg._pivot_loop(a, q, n) == want
-        assert a.min() >= 0 and a.max() < q
-        return
+def test_eliminate_leaves_entries_reduced(n, q):
+    """Gauss-Jordan through ``invert`` against the reference loop on [a | I]."""
+    rng = np.random.default_rng(q % 1000 + 1)
     a = linalg.sample_uniform_full_rank(n, q, rng)
     want, r = _reference_inverse(a, q)
     assert r == n
@@ -693,29 +638,60 @@ def test_invert_rank_solve_match_reference(q):
     rng = np.random.default_rng(q)
     a = linalg.sample_uniform_full_rank(n, q, rng)
     aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    assert _reference_eliminate(aug, q, n, jordan=True)[0] == n
+    assert reference_eliminate(aug, q, n, jordan=True)[0] == n
     assert np.array_equal(linalg.invert(a, q), aug[:, n:])
-    for b in (_rank_r(n, 180, 110, q, rng, slice(60, 120)), rng.integers(0, q, size=(n, n))):
-        assert linalg.rank(b, q) == _reference_eliminate(b.copy(), q, b.shape[1], False)[0]
     singular = _rank_r(n, n, 120, q, rng)
-    with pytest.raises(linalg.SingularMatrixError) as exc:
-        linalg.invert(singular, q)
-    assert exc.value.rank == 120
+    assert rank(singular, q) == 120
+    for call in (linalg.invert, lambda s, q: linalg.solve(s, np.ones((n, 1), dtype=np.int64), q)):
+        with pytest.raises(linalg.SingularMatrixError) as exc:
+            call(singular, q)
+        assert exc.value.size == n
 
 
 def test_elimination_rejects_modulus_above_2_31():
     q = 2**61 - 1  # prime; a product of two residues overflows int64
     a = np.random.default_rng(0).integers(0, q, size=(3, 3))
-    for call in (linalg.invert, linalg.rank, lambda a, q: linalg.mat_mul(a, a, q)):
+    for call in (linalg.invert, lambda a, q: linalg.mat_mul(a, a, q)):
         with pytest.raises(ValueError, match=str(q)):
             call(a, q)
 
 
 def test_singular_error_carries_rank():
+    # the error carries the order, not the rank: no second elimination runs
     a = np.array([[1, 2], [2, 4]])
     with pytest.raises(linalg.SingularMatrixError) as exc:
         linalg.invert(a, 5)
-    assert exc.value.rank == 1
+    assert isinstance(exc.value, ValueError) and exc.value.size == 2
+    assert str(exc.value) == "singular 2 x 2 matrix" and not hasattr(exc.value, "rank")
+
+
+@pytest.mark.parametrize(
+    "a",
+    [[[2.7, 0], [0, 1.2]], np.eye(2, dtype=bool), np.array([[1, 0], [0, 1]], dtype=object)],
+    ids=["float", "bool", "object"],
+)
+def test_invert_and_solve_reject_operands_that_are_not_integers(a):
+    # cast to int64, [[2.7, 0], [0, 1.2]] would be read as [[2, 0], [0, 1]]
+    for call in (lambda: linalg.invert(a, 5), lambda: linalg.solve(a, [[1], [1]], 5)):
+        with pytest.raises(ValueError, match="not integers"):
+            call()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+def test_invert_takes_unsigned_operands_as_their_residues(dtype):
+    # the largest entry of each dtype, and for uint64 2^63 + 5, reduced
+    # in place of being wrapped negative
+    q = 877
+    top = int(np.iinfo(dtype).max)
+    a = np.array([[top, 0, 0], [0, min(2**63 + 5, top), 0], [3, 0, 1]], dtype=dtype)
+    a0 = a.copy()
+    residues = np.array([[x % q for x in row] for row in a.tolist()], dtype=np.int64)
+    inv = linalg.invert(a, q)
+    assert np.array_equal(inv, linalg.invert(residues, q))
+    assert np.array_equal(linalg.mat_mul(a, inv, q), np.eye(3, dtype=np.int64))
+    y = np.arange(6).reshape(3, 2)
+    assert np.array_equal(linalg.mat_mul(residues, linalg.solve(a, y, q), q), y)
+    assert np.array_equal(a, a0)
 
 
 def test_enumerate_guard():

@@ -10,6 +10,7 @@ import pytest
 from tpir import audit, field, layout, linalg, scheme, simnet
 from tpir.layout import SchemeParams, build_layout
 
+from linalg_helpers import rank
 from query_helpers import answer_dense
 
 
@@ -61,6 +62,23 @@ def test_decode_ignores_answer_order():
     assert np.array_equal(got, store.data[0])
 
 
+def test_decode_with_a_singular_desired_secret_is_a_typed_error():
+    # secrets a caller supplies are not checked when the decoder is built;
+    # the decode's one inversion finds no pivot and names the order, L
+    p = SchemeParams(2, 3, 2, 4)
+    rng = np.random.default_rng(6)
+    store = scheme.MessageStore.random(p, rng)
+    secrets = scheme.sample_secrets(p, rng)
+    plan = scheme.build_queries(p, 0, secrets)
+    answers = [answer_dense(m, plan.matrices[m], store) for m in range(p.N)]
+    singular = secrets.matrices[0].copy()
+    singular[-1] = singular[0]
+    broken = scheme.SchemeSecrets((singular,) + secrets.matrices[1:])
+    with pytest.raises(linalg.SingularMatrixError) as exc:
+        scheme.Decoder(p, 0, broken, plan.layout).decode(answers)
+    assert exc.value.size == p.L
+
+
 def test_queries_cannot_depend_on_messages():
     """The store is not even a parameter of query construction."""
     sig = inspect.signature(scheme.build_queries)
@@ -106,7 +124,7 @@ def test_undesired_coefficients_have_rank_t_n_pow():
     secrets = scheme.sample_secrets(p, np.random.default_rng(1))
     plan = scheme.build_queries(p, 0, secrets)
     stacked = np.concatenate([m[:, p.L :] for m in plan.matrices])  # message 1 segment
-    assert linalg.rank(stacked, p.q) == p.T * p.N ** (p.K - 1)
+    assert rank(stacked, p.q) == p.T * p.N ** (p.K - 1)
 
 
 @pytest.mark.parametrize(
