@@ -5,14 +5,8 @@ without revealing which message to any coalition of up to T databases, at
 the optimal download rate (1 - T/N) / (1 - (T/N)^K).
 """
 
-from .audit import AuditReport, CheckResult, capacity, download_cost, run_audit
-from .layout import (
-    BlockLayout,
-    SchemeParams,
-    build_layout,
-    per_db_download,
-    total_download,
-)
+from .audit import AuditReport, CheckResult, capacity, run_audit
+from .layout import BlockLayout, SchemeParams, build_layout, total_download
 from .scheme import (
     Answer,
     Decoder,
@@ -32,12 +26,10 @@ __all__ = [
     "AuditReport",
     "CheckResult",
     "capacity",
-    "download_cost",
     "run_audit",
     "BlockLayout",
     "SchemeParams",
     "build_layout",
-    "per_db_download",
     "total_download",
     "Answer",
     "Decoder",

@@ -33,7 +33,6 @@ __all__ = [
     "CheckResult",
     "AuditReport",
     "capacity",
-    "download_cost",
     "structural_privacy_check",
     "without_alignment",
     "empirical_privacy_check",
@@ -91,11 +90,6 @@ def capacity(K: int, N: int, T: int) -> Fraction:
         return Fraction(1, K)
     r = Fraction(T, N)
     return (1 - r) / (1 - r**K)
-
-
-def download_cost(K: int, N: int, T: int) -> Fraction:
-    """Optimal downloaded symbols per desired symbol, 1/capacity."""
-    return 1 / capacity(K, N, T)
 
 
 def _t_subsets(M: int, T: int, cap: int, rng: np.random.Generator | None):

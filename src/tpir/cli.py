@@ -121,7 +121,7 @@ def cmd_capacity(args) -> int:
         [{
             "K": args.K, "N": args.N, "T": args.T,
             "capacity": str(cap), "capacity_decimal": f"{float(cap):.6f}",
-            "download_cost_per_bit": str(audit.download_cost(args.K, args.N, args.T)),
+            "download_cost_per_bit": str(1 / cap),
         }],
         args.format,
     )

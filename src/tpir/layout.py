@@ -39,7 +39,6 @@ __all__ = [
     "Block",
     "BlockLayout",
     "build_layout",
-    "per_db_download",
     "total_download",
     "max_code_length",
 ]
@@ -258,11 +257,9 @@ def build_layout(params: SchemeParams, desired: int) -> BlockLayout:
     return layout
 
 
-def per_db_download(params: SchemeParams) -> int:
-    """Symbols each database serves: its rows in the layout, the same for every desired index."""
-    return build_layout(params, 0).per_db
-
-
 def total_download(params: SchemeParams) -> int:
-    """Symbols downloaded from the N responding databases."""
-    return params.N * per_db_download(params)
+    """Symbols downloaded from the N responding databases.
+
+    Each serves its rows in the layout, the same for every desired index.
+    """
+    return params.N * build_layout(params, 0).per_db

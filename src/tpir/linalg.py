@@ -266,8 +266,9 @@ def sample_uniform_full_rank(
     without it, and leaves the generator in the same state. C is unit lower
     triangular, so those rows of C @ V are C[:rows, :rows] @ V[:rows], and
     V's later rows never move them: their values are drawn, and redrawn
-    while all zero, then discarded. Only the placement and the product
-    shrink to ``rows`` rows.
+    while all zero, then discarded. One zero test over every row's values
+    finds the rows to redraw, kept or discarded. Only the placement and the
+    product shrink to ``rows`` rows.
 
     Calls on ``rng``, with d = 1 without ``count`` and d = count with it:
     ``integers(0, q, size=d*n(n+1)/2)`` for V's rows, row after row and draw
@@ -295,21 +296,15 @@ def sample_uniform_full_rank(
     # 625 x 625 draw by about 1.4 MB.
     drawn = np.broadcast_to(_left_aligned(r, n), shape)
     v = np.zeros(shape, dtype=np.int64)
-    vals = rng.integers(0, q, size=draws * n * (n + 1) // 2, dtype=np.int64)
-    unread = []  # all-zero rows past r, as (draw, row)
-    if r < n:
-        kept, past = r * n - r * (r - 1) // 2, np.arange(r, n)  # values of rows < r; rows past r
-        starts = past * n - past * (past - 1) // 2 - kept  # of each row past r's values
-        vals = vals.reshape(draws, -1)
-        zero = ~np.logical_or.reduceat(vals[:, kept:] != 0, starts, axis=1)
-        unread = [(d, r + j) for d, j in zip(*np.nonzero(zero))]
-        vals = vals[:, :kept].reshape(-1)
-    v[drawn] = vals
+    vals = rng.integers(0, q, size=draws * n * (n + 1) // 2, dtype=np.int64).reshape(draws, -1)
+    # row j's values start at j*n - j(j-1)/2; residues are >= 0, so a row is
+    # all zero exactly when its maximum is 0
+    j = np.arange(n)
+    zero = np.maximum.reduceat(vals, j * n - j * (j - 1) // 2, axis=1) == 0
+    v[drawn] = vals[:, : r * n - r * (r - 1) // 2].reshape(-1)  # the values of rows < r
     del vals  # held through the product, it slowed a 625 x 625 draw by about 1 ms
-    # all-zero rows, kept ones and discarded ones, in (draw, row) order
     flat = v.reshape(draws, r, n)
-    redraw = sorted([*zip(*np.nonzero(~flat.any(axis=-1))), *unread])
-    for d, k in redraw:
+    for d, k in zip(*np.nonzero(zero)):  # in (draw, row) order; rows past r are discarded
         row = flat[d, k] if k < r else np.zeros(n, dtype=np.int64)
         while not row.any():
             row[: n - k] = rng.integers(0, q, size=n - k, dtype=np.int64)

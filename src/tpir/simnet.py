@@ -25,7 +25,7 @@ import json
 import os
 import struct
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,12 +193,11 @@ class DatabaseNode:
 
 @dataclass
 class RetrievalSession:
-    params: SchemeParams
-    desired: int
+    """The user's record of one session; ``plan.layout`` holds its params and desired index."""
+
     secrets: scheme.SchemeSecrets
     plan: scheme.QueryPlan
-    drop_set: frozenset[int]
-    transcript: dict = dc_field(default_factory=dict)
+    transcript: dict
 
 
 def _digest(data: bytes) -> str:
@@ -230,7 +229,6 @@ def run_session(
             f"drop_set of size {len(drop_set)} leaves fewer than N={p.N} responders"
         )
     layout = build_layout(p, desired)
-    t0 = time.perf_counter()
 
     secrets = scheme.sample_secrets(p, rng, desired=desired)
     plan = scheme.build_queries(p, desired, secrets, layout=layout)
@@ -254,22 +252,16 @@ def run_session(
     answers = _answers(p, answer_bytes, used)
     decoder = scheme.Decoder(p, desired, secrets, layout)
     decoded = decoder.decode(answers)
-    wall = time.perf_counter() - t0
 
-    session = RetrievalSession(
-        params=p, desired=desired, secrets=secrets, plan=plan, drop_set=drop_set,
-        transcript={
-            "query_bytes": query_bytes,
-            "answer_bytes": answer_bytes,
-            "used_responders": used,
-        },
-    )
+    session = RetrievalSession(secrets, plan, {
+        "query_bytes": query_bytes,
+        "answer_bytes": answer_bytes,
+        "used_responders": used,
+    })
     metrics = {
         "downloaded_symbols": sum(len(answers[i].values) for i in range(p.N)),
-        "expected_download": p.N * layout.per_db,
         "upload_bytes": sum(len(b) for b in query_bytes.values()),
         "download_bytes": sum(len(answer_bytes[m]) for m in used),
-        "wall_time": wall,
         "responders": used,
     }
     _log_session(p, drop_set, session, metrics, store, log_dir)
@@ -279,14 +271,17 @@ def run_session(
 def _answers(p: SchemeParams, answer_bytes: dict, used) -> list[scheme.Answer]:
     """The parsed answers of databases ``used``.
 
-    An answer whose header names a modulus other than the session's raises
-    ``InvalidAnswerError`` naming the database it came from.
+    An answer whose header names a modulus other than the session's, or a
+    database other than the one it came from, raises ``InvalidAnswerError``
+    naming the database it came from.
     """
     answers = []
     for m in used:
         answer, q = decode_answer(answer_bytes[m])
         if q != p.q:
             raise scheme.InvalidAnswerError(m, f"modulus q={q}, session has q={p.q}")
+        if answer.db_id != m:
+            raise scheme.InvalidAnswerError(m, f"header names database {answer.db_id}")
         answers.append(answer)
     return answers
 
@@ -318,9 +313,7 @@ def _log_session(p, drop_set, session, metrics, store, log_dir):
 
 def replay_transcript(session: RetrievalSession) -> np.ndarray:
     """Re-decode purely from recorded bytes; must reproduce the decoded message."""
+    layout = session.plan.layout
     used = session.transcript["used_responders"]
-    answers = _answers(session.params, session.transcript["answer_bytes"], used)
-    decoder = scheme.Decoder(
-        session.params, session.desired, session.secrets, session.plan.layout
-    )
-    return decoder.decode(answers)
+    answers = _answers(layout.params, session.transcript["answer_bytes"], used)
+    return scheme.Decoder(layout.params, layout.desired, session.secrets, layout).decode(answers)

@@ -44,11 +44,6 @@ def test_capacity_validation():
         audit.capacity(2, 3, 0)
 
 
-def test_download_cost_is_reciprocal():
-    assert audit.download_cost(2, 4, 2) == Fraction(3, 2)
-    assert audit.download_cost(3, 3, 2) == Fraction(19, 9)
-
-
 def test_capacity_shape():
     assert audit.capacity_shape_check().passed
 
@@ -424,7 +419,7 @@ def test_empirical_privacy_too_few_samples():
 
 def test_empirical_privacy_draws_in_bounded_chunks(monkeypatch):
     p = SchemeParams(2, 2, 1, 2)
-    entries = p.M * layout.per_db_download(p) * p.K * p.L  # one plan's entries
+    entries = p.M * layout.build_layout(p, 0).per_db * p.K * p.L  # one plan's entries
     monkeypatch.setattr(audit, "_CHUNK_ENTRIES", 7 * entries + 3)
     counts = []
     draw = scheme.sample_secrets

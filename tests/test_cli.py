@@ -32,6 +32,15 @@ def test_capacity_records_parseable(capsys):
     assert rec["schema"] == 1
 
 
+@pytest.mark.parametrize("K, N, T, cost", [(2, 4, 2, "3/2"), (3, 3, 2, "19/9")],
+                         ids=["K2N4T2", "K3N3T2"])
+def test_capacity_records_give_the_download_cost_as_the_reciprocal(capsys, K, N, T, cost):
+    code, out, _ = run(capsys, "capacity", "-K", str(K), "-N", str(N), "-T", str(T),
+                       "--format", "records")
+    assert code == 0
+    assert json.loads(out.strip())["download_cost_per_bit"] == cost
+
+
 def test_capacity_bad_range_is_usage_error(capsys):
     code, _, err = run(capsys, "capacity", "-K", "2", "-N", "3", "-T", "4")
     assert code == 2

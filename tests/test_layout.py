@@ -57,7 +57,7 @@ def test_per_layer_counts_golden():
         row["desired_touching"] += b.per_db_len if b.contains_desired else 0
     assert by_layer[1] == {"total": 4, "desired_touching": 2}
     assert by_layer[2] == {"total": 1, "desired_touching": 1}
-    assert layout.per_db_download(SchemeParams(2, 3, 2, 3)) == 5
+    assert build_layout(SchemeParams(2, 3, 2, 3), 0).per_db == 5
 
 
 def test_canonical_subset_order():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tpir import audit, field, layout, linalg, scheme, simnet
+from tpir import audit, field, linalg, scheme, simnet
 from tpir.layout import SchemeParams, build_layout
 
 from linalg_helpers import rank
@@ -92,7 +92,7 @@ def test_query_shape_and_support():
     p = SchemeParams(2, 4, 3, 5)
     secrets = scheme.sample_secrets(p, np.random.default_rng(0))
     plan = scheme.build_queries(p, 0, secrets)
-    D = layout.per_db_download(p)
+    D = build_layout(p, 0).per_db
     assert all(m.shape == (D, p.K * p.L) for m in plan.matrices)
     # block-row support stays inside the member messages' segments
     row = 0
@@ -115,7 +115,7 @@ def test_answer_lengths_identical():
         len(answer_dense(m, plan.matrices[m], store).values)
         for m in range(p.M)
     }
-    assert lengths == {layout.per_db_download(p)}
+    assert lengths == {build_layout(p, 0).per_db}
 
 
 def test_undesired_coefficients_have_rank_t_n_pow():
@@ -349,7 +349,7 @@ def test_stacked_plans_match_per_slice_plans(K, N, T, M, break_alignment):
 
     for desired in range(K):
         stacked = build(desired, secrets)
-        D = layout.per_db_download(p)
+        D = build_layout(p, 0).per_db
         assert all(m.shape == (5, D, K * p.L) for m in stacked.matrices)
         for s in range(5):
             plan = build(desired, scheme.SchemeSecrets(tuple(m[s] for m in secrets.matrices)))

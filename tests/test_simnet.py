@@ -29,7 +29,6 @@ def test_session_with_drops(session_setup):
     m = out["metrics"]
     assert m["responders"] == [0, 2, 4]
     assert m["downloaded_symbols"] == total_download(SchemeParams(2, 3, 2, 3))
-    assert m["downloaded_symbols"] == m["expected_download"]
 
 
 def test_session_success_for_every_legal_drop_set(session_setup):
@@ -227,3 +226,32 @@ def test_answer_of_another_modulus_is_rejected(session_setup, monkeypatch):
     monkeypatch.setattr(simnet.DatabaseNode, "answer", answer)
     with pytest.raises(scheme.InvalidAnswerError, match="database 0: modulus q=251"):
         simnet.run_session(p, 1, store, rng=np.random.default_rng(8))
+
+
+def _relabeled(buf, db_id):
+    """Wire answer bytes re-encoded with the header's database id set to ``db_id``."""
+    answer, q = simnet.decode_answer(buf)
+    return simnet.encode_answer(scheme.Answer(db_id=db_id, values=answer.values), q)
+
+
+def test_answer_naming_another_database_is_rejected(session_setup, monkeypatch):
+    """Database 2's answer names database 4 in its header: decoding it as
+    database 4's symbols gives a wrong message, so the session and its
+    replay reject it, naming the database it came from."""
+    p, store, _ = session_setup
+    out = simnet.run_session(p, 1, store, rng=np.random.default_rng(1))
+    session = out["session"]
+    session.transcript["answer_bytes"][2] = _relabeled(session.transcript["answer_bytes"][2], 4)
+    with pytest.raises(scheme.InvalidAnswerError, match="database 2: header names database 4") as exc:
+        simnet.replay_transcript(session)
+    assert exc.value.db_id == 2
+
+    honest = simnet.DatabaseNode.answer
+
+    def answer(node, query):
+        reply = honest(node, query)
+        return _relabeled(reply, 4) if node.id == 2 else reply
+
+    monkeypatch.setattr(simnet.DatabaseNode, "answer", answer)
+    with pytest.raises(scheme.InvalidAnswerError, match="database 2: header names database 4"):
+        simnet.run_session(p, 1, store, rng=np.random.default_rng(1))
