@@ -26,7 +26,7 @@ p = SchemeParams(K=2, N=3, T=2, M=4)
 rng = np.random.default_rng(3)
 secrets = scheme.sample_secrets(p, rng)
 plan = scheme.build_queries(p, 0, secrets)
-res = audit.structural_privacy_check(p, 0, plan)
+res = audit.structural_privacy_check(plan)
 print(f"structural check over all {res.details['subsets_checked']} coalitions: "
       f"pass={res.passed} "
       f"({res.details['per_message_variables']} variables per message each)")
@@ -34,7 +34,7 @@ print(f"structural check over all {res.details['subsets_checked']} coalitions: "
 # the same check catches a plan whose side information skips MDS coding
 broken = scheme.build_queries(p, 0, secrets)
 audit.without_alignment(broken)
-res = audit.structural_privacy_check(p, 0, broken)
+res = audit.structural_privacy_check(broken)
 print(f"broken plan caught: {not res.passed} ({res.details})")
 
 # 3. empirical: query bytes sampled under each desired index are compared

@@ -23,9 +23,9 @@ print(f"{p.M} databases hold identical stores; any {p.N} answers suffice; "
 for drop in itertools.combinations(range(p.M), p.M - p.N):
     out = simnet.run_session(p, desired=1, store=store, drop_set=drop, rng=rng)
     ok = np.array_equal(out["decoded"], store.data[1])
-    m = out["metrics"]
-    print(f"silent nodes {list(drop)} -> responders {m['responders']}, "
-          f"{m['downloaded_symbols']} symbols, decoded: {ok}")
+    used = out["session"].transcript["used_responders"]
+    print(f"silent nodes {list(drop)} -> responders {used}, "
+          f"{out['metrics']['downloaded_symbols']} symbols, decoded: {ok}")
 
 # a transcript replays to the same result, byte-for-byte
 out = simnet.run_session(p, desired=0, store=store, drop_set={0, 4}, rng=rng)

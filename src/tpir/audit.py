@@ -108,10 +108,7 @@ def _t_subsets(M: int, T: int, cap: int, rng: np.random.Generator | None):
 
 
 def structural_privacy_check(
-    params: SchemeParams,
-    desired: int,
-    plan: scheme.QueryPlan | None = None,
-    rng: np.random.Generator | None = None,
+    plan: scheme.QueryPlan, rng: np.random.Generator | None = None
 ) -> CheckResult:
     """Over every collusion subset: variable counts and code-submatrix invertibility.
 
@@ -121,35 +118,29 @@ def structural_privacy_check(
     rows it sees must have full row rank. Each code is checked once for all
     T-subsets: the counts are read from the shape of its stacked view of the
     coordinates they hold, and invertibility is certified by
-    ``mds.first_singular``. If a plan is
-    supplied its row-support pattern is also validated against the layout;
-    its desired index and parameters must be ``desired`` and ``params``, and
-    each of its matrices must be one 2-d (D, K*L) query, not a stack. When
-    there are more T-subsets than ``_STRUCTURAL_SUBSETS`` (500), that many
-    are drawn from ``rng``, which is then required.
+    ``mds.first_singular``. The params and desired index are those of the
+    plan's layout, and the plan's row-support pattern and alignment are
+    validated against it; each of its matrices must be one 2-d (D, K*L)
+    query, not a stack. When there are more T-subsets than
+    ``_STRUCTURAL_SUBSETS`` (500), that many are drawn from ``rng``, which is
+    then required.
     """
-    p = params
+    layout = plan.layout
+    p, desired = layout.params, layout.desired
     name = "structural_privacy"
-    if plan is not None and (plan.desired, plan.layout.params) != (desired, p):
-        raise ValueError(
-            f"plan is for desired={plan.desired} at {plan.layout.params}, "
-            f"checked as desired={desired} at {p}"
-        )
-    layout = plan.layout if plan is not None else build_layout(p, desired)
-    if plan is not None and any(m.shape != (layout.per_db, p.K * p.L) for m in plan.matrices):
+    if any(m.shape != (layout.per_db, p.K * p.L) for m in plan.matrices):
         raise ValueError(
             f"plan matrices of shapes {sorted({m.shape for m in plan.matrices})}, not "
             f"({layout.per_db}, {p.K * p.L}); check a stacked plan one slice at a time"
         )
     expected_per_msg = p.undesired_secret_rows
 
-    if plan is not None:
-        bad = _plan_support_mismatch(plan)
-        if bad is not None:
-            return CheckResult(name, False, {"support_violation": bad})
-        bad = _plan_alignment_mismatch(plan)
-        if bad is not None:
-            return CheckResult(name, False, {"alignment_violation": bad})
+    bad = _plan_support_mismatch(plan)
+    if bad is not None:
+        return CheckResult(name, False, {"support_violation": bad})
+    bad = _plan_alignment_mismatch(plan)
+    if bad is not None:
+        return CheckResult(name, False, {"alignment_violation": bad})
 
     subsets = _t_subsets(p.M, p.T, _STRUCTURAL_SUBSETS, rng)
     # one view per pair code: a row per T-subset of the codeword coordinates
@@ -579,7 +570,7 @@ def run_audit(
     plan = scheme.build_queries(p, 0, secrets)
     if break_alignment:
         without_alignment(plan)
-    res = structural_privacy_check(p, 0, plan, rng=rng)
+    res = structural_privacy_check(plan, rng=rng)
     if break_alignment:
         # the broken variant must be caught by the structural check
         res = CheckResult("structural_privacy_detects_broken", not res.passed, res.details)

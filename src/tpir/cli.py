@@ -236,7 +236,7 @@ def cmd_simulate(args) -> int:
     ok = np.array_equal(out["decoded"], store.data[args.desired])
     m = out["metrics"]
     row = {
-        "responders": ",".join(map(str, m["responders"])),
+        "responders": ",".join(map(str, out["session"].transcript["used_responders"])),
         "dropped": ",".join(map(str, sorted(drop))) or "-",
         "downloaded_symbols": m["downloaded_symbols"],
         "upload_bytes": m["upload_bytes"],

@@ -26,14 +26,14 @@ __all__ = [
     "elements_from_bytes",
 ]
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin with a fixed witness set).
 
-    The witness set is sufficient for all n < 3.3 * 10^24, far beyond any
-    modulus this library will ever see.
+    The witnesses, the primes up to 41, are sufficient for all n < 3.3 * 10^24,
+    far beyond any modulus this library will ever see.
     """
     if n < 2:
         return False

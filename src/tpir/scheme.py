@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg, mds
-from .field import element_dtype, outside_field
+from .field import as_elements, element_dtype, outside_field
 from .layout import BlockLayout, SchemeParams, build_layout, total_download
 
 __all__ = [
@@ -57,10 +57,7 @@ class MessageStore:
     q: int
 
     def __post_init__(self):
-        d = np.asarray(self.data)
-        if not np.issubdtype(d.dtype, np.integer):
-            raise ValueError(f"message symbols of dtype {d.dtype}, not integers")
-        d = d.astype(np.int64, copy=False)
+        d = as_elements(self.data).astype(np.int64, copy=False)
         if d.ndim != 2:
             raise ValueError(f"store must be 2-d (K, L), got shape {d.shape}")
         if outside_field(d, self.q):
@@ -111,11 +108,10 @@ class InvalidAnswerError(ValueError):
 class QueryPlan:
     """Per-database coefficient matrices; a function of secrets and layout only.
 
-    The desired index is retained for the user's own bookkeeping and is never
-    serialized toward the databases.
+    The layout records the params and the desired index, for the user's own
+    bookkeeping; neither is serialized toward the databases.
     """
 
-    desired: int
     layout: BlockLayout
     # one (..., D, K*L) matrix per database, with the secrets' stack axes, in
     # the unsigned wire dtype of q's width (``field.element_dtype(q)``)
@@ -212,7 +208,7 @@ def build_queries(
             chunks = seg.reshape(stack + (M, b.per_db_len, L))
             for m, matrix in enumerate(matrices):
                 matrix[..., b.rows, k * L : (k + 1) * L] = chunks[..., m, :, :]
-    return QueryPlan(desired=desired, layout=layout, matrices=tuple(matrices))
+    return QueryPlan(layout=layout, matrices=tuple(matrices))
 
 
 def query_segments(q_matrix: np.ndarray, K: int, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +310,7 @@ def subset_tables(layout: BlockLayout, subsets) -> SubsetTables:
 
 
 class Decoder:
-    """Interference-cancelling decoder for one (params, desired, secrets) session.
+    """Interference-cancelling decoder for one session's secrets and layout.
 
     ``decode_subsets`` decodes a stack of responder subsets in one pass;
     ``decode`` checks the answers of one subset and decodes them there,
@@ -330,8 +326,6 @@ class Decoder:
     ):
         if layout is None or layout.desired != desired or layout.params != params:
             layout = build_layout(params, desired)
-        self.params = params
-        self.desired = desired
         self.secrets = secrets
         self.layout = layout
 
@@ -344,7 +338,7 @@ class Decoder:
         residues in 0..q-1, raises ``InvalidAnswerError``.
         ``decode_subsets`` decodes many stores and subsets in one pass.
         """
-        p = self.params
+        p = self.layout.params
         by_id = {}
         for a in answers:
             if not 0 <= a.db_id < p.M:
@@ -378,7 +372,7 @@ class Decoder:
         from outside. The codes are undone from public data only, then
         S_desired^-1 is applied to every subset's columns in one ``linalg.solve``.
         """
-        p = self.params
+        p = self.layout.params
         s = len(tables.responders)
         shape = (s, p.N, self.layout.per_db)
         if tables.params != p or answered.ndim != 4 or answered.shape[:3] != shape:
@@ -387,7 +381,7 @@ class Decoder:
                 f"{p.N} databases with {self.layout.per_db} symbols each at {tables.params}"
             )
         slw = _code_symbols(self.layout, tables, answered)
-        out = linalg.solve(self.secrets.matrices[self.desired], slw, p.q)
+        out = linalg.solve(self.secrets.matrices[self.layout.desired], slw, p.q)
         return out.reshape(p.L, s, answered.shape[-1]).transpose(1, 0, 2)
 
 

@@ -183,10 +183,9 @@ class DatabaseNode:
         """Wire answer to a wire query whose q, K and L must match the store's."""
         if self.behavior == "silent":
             return None
-        present, segments, q, K, L = decode_query(query_bytes)
-        for name, got, held in zip("qKL", (q, K, L), (self.store.q, *self.store.data.shape)):
-            if got != held:
-                raise ValueError(f"query has {name}={got}, store has {name}={held}")
+        present, segments, q, _, _ = decode_query(query_bytes)
+        if q != self.store.q:
+            raise ValueError(f"query has q={q}, store has q={self.store.q}")
         ans = scheme.answer_query(self.id, present, segments, self.store)
         return encode_answer(ans, q)
 
@@ -262,7 +261,6 @@ def run_session(
         "downloaded_symbols": sum(len(answers[i].values) for i in range(p.N)),
         "upload_bytes": sum(len(b) for b in query_bytes.values()),
         "download_bytes": sum(len(answer_bytes[m]) for m in used),
-        "responders": used,
     }
     _log_session(p, drop_set, session, metrics, store, log_dir)
     return {"decoded": decoded, "session": session, "metrics": metrics}

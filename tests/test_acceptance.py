@@ -109,7 +109,8 @@ def test_4_structural_privacy():
     rng = np.random.default_rng(SEED)
     points = 0
     for p in grid_params():
-        res = audit.structural_privacy_check(p, 0, rng=rng)
+        plan = scheme.build_queries(p, 0, scheme.sample_secrets(p, rng, desired=0))
+        res = audit.structural_privacy_check(plan, rng=rng)
         assert res.passed, (p, res.details)
         expected = p.T * p.N ** (p.K - 1)
         assert res.details["per_message_variables"] == expected

@@ -62,14 +62,16 @@ def test_structural_privacy_passes(K, N, T, M):
     p = SchemeParams(K, N, T, M)
     for desired in range(K):
         plan = make_plan(p, desired)
-        res = audit.structural_privacy_check(p, desired, plan)
+        res = audit.structural_privacy_check(plan)
         assert res.passed, res.details
 
 
-def test_structural_privacy_catches_broken_plan():
-    p = SchemeParams(2, 3, 2, 3)
-    plan = make_plan(p, 0, break_alignment=True)
-    res = audit.structural_privacy_check(p, 0, plan)
+@pytest.mark.parametrize(
+    "K,N,T,M,desired", [(2, 3, 2, 3, d) for d in range(2)] + [(3, 2, 1, 3, d) for d in range(3)]
+)
+def test_structural_privacy_catches_broken_plan(K, N, T, M, desired):
+    plan = make_plan(SchemeParams(K, N, T, M), desired, break_alignment=True)
+    res = audit.structural_privacy_check(plan)
     assert not res.passed
     assert "alignment_violation" in res.details
 
@@ -134,15 +136,15 @@ def test_structural_privacy_rejects_stacked_plan():
     secrets = scheme.sample_secrets(p, np.random.default_rng(0), count=4)
     plan = scheme.build_queries(p, 0, secrets)
     with pytest.raises(ValueError, match="one slice at a time"):
-        audit.structural_privacy_check(p, 0, plan)
+        audit.structural_privacy_check(plan)
 
 
 def test_structural_privacy_sampling_needs_generator():
     # C(12, 5) = 792 collusion subsets exceed the cap of 500, so some are drawn
-    p = SchemeParams(1, 5, 5, 12)
+    plan = make_plan(SchemeParams(1, 5, 5, 12))
     with pytest.raises(ValueError, match="needs a generator"):
-        audit.structural_privacy_check(p, 0)
-    res = audit.structural_privacy_check(p, 0, rng=np.random.default_rng(2))
+        audit.structural_privacy_check(plan)
+    res = audit.structural_privacy_check(plan, rng=np.random.default_rng(2))
     assert res.passed and res.details["subsets_checked"] == 500
 
 
@@ -151,8 +153,8 @@ def test_structural_privacy_catches_tampered_support():
     plan = make_plan(p, 0)
     tampered = [m.copy() for m in plan.matrices]
     tampered[0][0, p.L + 1] = 1  # block {0} row leaking into message 1's segment
-    bad = scheme.QueryPlan(desired=0, layout=plan.layout, matrices=tuple(tampered))
-    res = audit.structural_privacy_check(p, 0, bad)
+    bad = scheme.QueryPlan(layout=plan.layout, matrices=tuple(tampered))
+    res = audit.structural_privacy_check(bad)
     assert not res.passed
     assert "support_violation" in res.details
 
@@ -161,22 +163,10 @@ def test_structural_counts_match_worked_example():
     """(2,3,2) on 3 databases: every 2-subset sees 6 variables per message."""
     p = SchemeParams(2, 3, 2, 3)
     plan = make_plan(p, 0)
-    res = audit.structural_privacy_check(p, 0, plan)
+    res = audit.structural_privacy_check(plan)
     assert res.passed
     assert res.details["per_message_variables"] == 6
     assert res.details["subsets_checked"] == 3
-
-
-def test_structural_privacy_rejects_plan_for_other_arguments():
-    # a plan checked against other arguments would report a privacy failure
-    # (or a coordinate error) that the plan does not have
-    p = SchemeParams(3, 3, 1, 4)
-    plan = make_plan(p, 0)
-    with pytest.raises(ValueError, match="desired=0"):
-        audit.structural_privacy_check(p, 1, plan)
-    with pytest.raises(ValueError, match="M=5"):
-        audit.structural_privacy_check(p, 0, make_plan(SchemeParams(3, 3, 1, 5), 0))
-    assert audit.structural_privacy_check(SchemeParams(3, 3, 1, 4), 0, plan).passed
 
 
 def corrupt_one_inverse(monkeypatch, spec, bad):
@@ -208,7 +198,7 @@ def test_certification_catches_one_wrong_inverse(monkeypatch):
 def test_structural_privacy_names_the_subset_of_a_wrong_inverse(monkeypatch, view):
     p = SchemeParams(3, 3, 2, 4)
     plan = make_plan(p, 1)
-    assert audit.structural_privacy_check(p, 1, plan).passed
+    assert audit.structural_privacy_check(plan).passed
     lay = plan.layout
     subsets = list(itertools.combinations(range(p.M), p.T))
     bad = subsets[4]
@@ -222,7 +212,7 @@ def test_structural_privacy_names_the_subset_of_a_wrong_inverse(monkeypatch, vie
         coords = lay.desired_coords(bad)
         expected = {"subset": bad, "reason": "desired code rows rank-deficient"}
     corrupt_one_inverse(monkeypatch, spec, coords)
-    res = audit.structural_privacy_check(p, 1, plan)
+    res = audit.structural_privacy_check(plan)
     assert not res.passed
     assert res.details == expected
 

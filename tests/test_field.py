@@ -21,6 +21,15 @@ def test_is_prime_carmichael_and_large():
     assert not field.is_prime(2**32 + 1)
 
 
+def test_is_prime_exact_below_documented_bound():
+    # the least strong pseudoprime to every prime base up to 37, below 3.3 * 10^24:
+    # only base 41 exposes it
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert not field.is_prime(n)
+    assert field.is_prime(399165290221) and field.is_prime(798330580441)
+
+
 def test_smallest_prime_geq():
     assert field.smallest_prime_geq(2) == 2
     assert field.smallest_prime_geq(9) == 11

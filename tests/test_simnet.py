@@ -27,7 +27,7 @@ def test_session_with_drops(session_setup):
     out = simnet.run_session(p, 0, store, drop_set={1, 3}, rng=rng)
     assert np.array_equal(out["decoded"], store.data[0])
     m = out["metrics"]
-    assert m["responders"] == [0, 2, 4]
+    assert out["session"].transcript["used_responders"] == [0, 2, 4]
     assert m["downloaded_symbols"] == total_download(SchemeParams(2, 3, 2, 3))
 
 
@@ -58,7 +58,7 @@ def test_session_requires_generator(session_setup):
 def test_empty_drop_set_uses_lowest_ids(session_setup):
     p, store, rng = session_setup
     out = simnet.run_session(p, 0, store, rng=rng)
-    assert out["metrics"]["responders"] == [0, 1, 2]
+    assert out["session"].transcript["used_responders"] == [0, 1, 2]
     assert np.array_equal(out["decoded"], store.data[0])
 
 
