@@ -416,8 +416,7 @@ def lemma1_exhaustive_check(alpha: int, beta: int, q: int) -> CheckResult:
     g_all = linalg.enumerate_full_rank(beta, q)
     index_vectors = [list(v) for v in itertools.permutations(range(alpha), beta)]
     for (gi, g), ivec in itertools.product(enumerate(g_all), index_vectors):
-        # in int64: in the enumeration's wire dtype the products would wrap
-        transformed = np.einsum("ij,sjk->sik", g, s_all[:, ivec, :], dtype=np.int64) % q
+        transformed = linalg.mat_mul(g, s_all[:, ivec, :], q)
         if not np.array_equal(_sorted_rows(transformed), reference):
             return CheckResult(
                 name, False, {"G_index": gi, "index_vector": ivec}

@@ -63,10 +63,12 @@ def max_code_length(K: int, N: int, T: int, M: int) -> int:
 class SchemeParams:
     """Scheme parameters (K messages, N responders, T colluders, M databases).
 
-    q is the field modulus, a prime at most 2^31 (so that elimination over
-    GF(q) is exact in int64); when omitted it is chosen as the smallest prime
-    that fits the longest MDS code the layout needs. Each message has
-    L = N^K symbols.
+    q is the field modulus, a prime; when omitted it is chosen as the
+    smallest prime that fits the longest MDS code the layout needs. Each
+    message has L = N^K symbols. Chosen or passed, q must pass
+    ``linalg.check_modulus`` at K * L, the widest product the package runs
+    (the (D, K * L) plans times the stacked stores of
+    ``audit.correctness_sweep``), else ``ValueError``.
     """
 
     K: int
@@ -88,11 +90,11 @@ class SchemeParams:
         else:
             if not is_prime(self.q):
                 raise ValueError(f"q={self.q} is not prime")
-            check_modulus(self.q)
             if self.q < needed:
                 raise ValueError(
                     f"q={self.q} too small: longest MDS code has length {needed}"
                 )
+        check_modulus(self.q, self.K * self.L)
 
     @property
     def L(self) -> int:

@@ -1,16 +1,14 @@
 """Dense linear algebra over GF(q) on numpy integer arrays.
 
 Matrices are plain ``numpy`` arrays with entries reduced mod q; the modulus is
-passed explicitly and is at most 2^31 everywhere (``check_modulus``).
-Products and inverses come out as int64; elements of GL(n, q), drawn or
-enumerated, come out in the field's wire dtype (``field.element_dtype``).
+passed explicitly. Products and inverses come out as int64; elements of
+GL(n, q), drawn or enumerated, come out in the field's wire dtype
+(``field.element_dtype``).
 
-Every matrix product runs on float64 BLAS, where sums of products of
-integers are exact while they stay below 2^53. While ``inner * (q-1)^2`` is
-under that bound the operands are cast to float64 and multiplied once;
-above it each operand is split into 16-bit limbs, and the limb products,
-each exact, are reduced mod q and recombined (the error-free splitting of
-Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012). ``mat_mul``
+Every matrix product is one float64 BLAS call (``_product``), which is
+exact while its sums of products of residues stay below 2^53: a product
+with inner length k needs k * (q-1)^2 < 2^53, the one modulus rule of this
+module (``check_modulus``), and a larger q raises ``ValueError``. ``mat_mul``
 reduces an operand only if an entry lies outside [0, q): callers pass
 residues, so a product pays one range test per operand, not a ``% q`` copy.
 An unsigned integer operand, such as a query plan or a query read from the
@@ -62,85 +60,49 @@ class SingularMatrixError(ValueError):
         super().__init__(f"singular {size} x {size} matrix")
 
 
-def check_modulus(q: int) -> None:
-    """Raise ``ValueError`` for q > 2^31, the one modulus rule of this module.
+def check_modulus(q: int, inner: int) -> None:
+    """Raise ``ValueError`` unless inner * (q-1)^2 < 2^53, the one modulus rule of this module.
 
-    Elimination multiplies two residues and adds a third in int64, which
-    needs (q-1)^2 < 2^62, and the limb products of ``mat_mul`` need residues
-    below 2^31, so that a residue's high 16-bit limb is below 2^15 and every
-    recombination step fits in int64.
+    A product of residues with ``inner`` terms then sums to an integer below
+    2^53, which float64 holds exactly, so one float64 product is exact.
     """
-    if (q - 1) ** 2 >= 2**62:
-        raise ValueError(f"q={q} too large: exact GF(q) arithmetic here needs q <= 2^31")
+    if inner * (q - 1) ** 2 >= 2**53:
+        raise ValueError(
+            f"q={q} too large for exact products of {inner} terms: "
+            f"GF(q) arithmetic here needs {inner} * (q-1)^2 < 2^53"
+        )
 
 
-# Inner length up to which a product of 16-bit limbs stays below 2^53.
-_LIMB_INNER = (2**53 - 1) // (2**16 - 1) ** 2
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on float64 BLAS, as a fresh int64 array, unreduced; neither operand is written.
 
-
-def _float_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b on float64 BLAS, as a fresh int64 array; exact below 2^53, neither operand written."""
+    Leading axes are stacks of matrices, broadcast as by ``@``. The operands
+    are int64 or unsigned integer arrays of residues, cast once to float64
+    and not widened before: under ``check_modulus`` every sum is exact.
+    """
     product = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
     return product.astype(np.int64)
 
 
-def _limbs(x: np.ndarray, axis: int) -> np.ndarray:
-    """x's low 16-bit limbs, then its high ones, concatenated along ``axis`` as float64."""
-    return np.concatenate([x.astype(np.uint16), x >> 16], axis=axis, dtype=np.float64)
-
-
-def _product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """A fresh int64 array congruent to a @ b mod q, for entries of a and b in [0, q).
-
-    Leading axes are stacks of matrices, broadcast as by ``@``. The operands
-    are int64 or unsigned integer arrays, are never written and are not
-    widened before the product, and q is at most 2^31. While
-    ``inner * (q-1)^2 < 2^53`` one float64 product is exact and its result
-    is returned unreduced. Otherwise a = a_hi * 2^16 + a_lo and b likewise,
-    with limbs below 2^16, so a @ b = hh * 2^32 + (hl + lh) * 2^16 + ll: the
-    four limb products run as one float64 product of [a_lo; a_hi] and
-    [b_lo | b_hi], over chunks of at most ``_LIMB_INNER`` inner terms so that
-    each stays exact (below 2^53). hh and hl + lh are reduced mod q in int64
-    and recombined with 2^32 and 2^16 mod q; with residues below 2^31 no
-    step leaves int64. That result is reduced.
-    """
-    if a.shape[-1] * (q - 1) ** 2 < 2**53:
-        return _float_product(a, b)
-    m, n = a.shape[-2], b.shape[-1]
-    r16, r32 = 2**16 % q, 2**32 % q
-    out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n), dtype=np.int64)
-    for c in range(0, a.shape[-1], _LIMB_INNER):
-        cut = slice(c, c + _LIMB_INNER)
-        limbs = _float_product(_limbs(a[..., cut], -2), _limbs(b[..., cut, :], -1))
-        lo, hi = limbs[..., :m, :], limbs[..., m:, :]
-        # below 2^31 * 2^31 + 2^31 * 2^16 + 2^53 < 2^63
-        part = hi[..., n:] % q * r32 + (lo[..., n:] + hi[..., :n]) % q * r16 + lo[..., :n]
-        out += part % q
-    out %= q
-    return out
-
-
 def mat_mul(a, b, q: int) -> np.ndarray:
-    """Matrix product over GF(q), exact for every q <= 2^31; a larger q raises ``ValueError``.
+    """Matrix product over GF(q); ``ValueError`` if ``check_modulus`` refuses q at the inner length.
 
     Neither operand is written to; each is reduced, into a copy, only if an
     entry lies outside [0, q). An unsigned integer operand is used in its
     own dtype, with no int64 copy; a signed one is read as int64, and one of
     any other dtype raises ``ValueError``. The result is a fresh int64
-    array whatever the operand dtypes. The product runs on float64 BLAS, in
-    one piece or in 16-bit limbs (see ``_product``). Either operand may be a
-    stack of matrices along leading axes; stacks broadcast as they do for
-    ``@``.
+    array whatever the operand dtypes. Either operand may be a stack of
+    matrices along leading axes; stacks broadcast as they do for ``@``.
     """
-    check_modulus(q)
     a, b = as_elements(a), as_elements(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
+    check_modulus(q, a.shape[-1])
     if outside_field(a, q):
         a = a % q
     if outside_field(b, q):
         b = b % q
-    out = _product(a, b, q)
+    out = _product(a, b)
     out %= q
     return out
 
@@ -155,11 +117,10 @@ def _leaf(w: np.ndarray, q: int, c0: int, c1: int, order: np.ndarray) -> bool:
 
     Column k's pivot is its first nonzero from row k down. Rows from c0 down
     are eliminated on a reduced copy, whose entries fall by at most (q-1)^2 a
-    step: it is reduced every step only if (c1-c0)(q-1)^2 could reach 2^63.
+    step, so by less than 2^53 over the leaf's columns (``check_modulus``).
     Rows above c0 take -above @ B^-1, one product, B^-1 the rows c0:c1.
     """
     panel = w[c0:, c0:c1] % q
-    each_step = (c1 - c0) * (q - 1) ** 2 >= 2**63
     for j in range(c1 - c0):
         f = panel[:, j] % q
         p = j + int(np.argmax(f[j:] != 0))
@@ -174,11 +135,9 @@ def _leaf(w: np.ndarray, q: int, c0: int, c1: int, order: np.ndarray) -> bool:
         f[j] = panel[:, j] = 0
         panel -= f[:, None] * row
         panel[j] = row
-        if each_step:
-            panel %= q
     panel %= q
     w[c0:, c0:c1] = panel
-    w[:c0, c0:c1] = -_product(w[:c0, c0:c1] % q, panel[: c1 - c0], q) % q
+    w[:c0, c0:c1] = -_product(w[:c0, c0:c1] % q, panel[: c1 - c0]) % q
     return True
 
 
@@ -199,15 +158,16 @@ def _gauss_jordan(w: np.ndarray, q: int, c0: int, c1: int, order: np.ndarray) ->
         top = w[done, rest] % q
         w[done, rest] = 0
         cols = w[:, rest]
-        cols += _product(w[:, done], top, q)
+        cols += _product(w[:, done], top)
     cols %= q  # the left half
     return True
 
 
 def invert(a, q: int) -> np.ndarray:
-    """Inverse of a square matrix over GF(q), for q <= 2^31 (a larger q raises ``ValueError``).
+    """Inverse of a square n x n matrix over GF(q).
 
-    Raises ``SingularMatrixError`` if ``a`` is singular. ``a`` is read as
+    Raises ``SingularMatrixError`` if ``a`` is singular, and ``ValueError``
+    for a q that ``check_modulus`` refuses at n. ``a`` is read as
     ``mat_mul`` reads an operand: a dtype other than integer raises
     ``ValueError``, and ``a`` is reduced, in its own dtype so that no
     unsigned entry wraps, only if an entry lies outside [0, q).
@@ -216,15 +176,15 @@ def invert(a, q: int) -> np.ndarray:
     of one int64 copy of the residues with its column of the transform.
     Rows are swapped whole, so the copy ends as the inverse of the
     row-permuted ``a``, whose columns are permuted back once. Product
-    operands are residues, so a product's entries are below 2^53 (float
-    path of ``_product``) or q (limb path). An entry takes at most one
-    unreduced product per recursion level, and with fewer than 64 levels
-    stays below q + 2^59 < 2^63 for any n.
+    operands are residues and inner lengths at most n, so a product's
+    entries are below 2^53. An entry takes at most one unreduced product
+    per recursion level, and with fewer than 64 levels stays below
+    q + 2^59 < 2^63 for any n.
     """
-    check_modulus(q)
     a = as_elements(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix not square: {a.shape}")
+    check_modulus(q, a.shape[0])
     w = (a % q if outside_field(a, q) else a).astype(np.int64)
     n = w.shape[0]
     order = np.arange(n)
@@ -234,7 +194,7 @@ def invert(a, q: int) -> np.ndarray:
 
 
 def solve(secret, y, q: int) -> np.ndarray:
-    """secret^-1 @ y over GF(q); raises ``SingularMatrixError`` if ``secret`` is singular."""
+    """secret^-1 @ y over GF(q); raises as ``invert`` does for ``secret``."""
     return mat_mul(invert(secret, q), y, q)
 
 
@@ -276,7 +236,8 @@ def sample_uniform_full_rank(
     (draw, row) order; then ``integers(0, q, size=d*n(n-1)/2)`` for C's
     below-diagonal entries in row-major order, draw after draw. Raises
     ``ValueError``, before any call, for n < 1, for q < 2 (no row could be
-    nonzero), for ``count`` < 1 and for ``rows`` outside 1..n.
+    nonzero), for a q that ``check_modulus`` refuses at n (no product here
+    could take the draw), for ``count`` < 1 and for ``rows`` outside 1..n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -284,6 +245,7 @@ def sample_uniform_full_rank(
         raise ValueError(f"count={count}; a stack needs at least one draw")
     if q < 2:
         raise ValueError(f"q={q}: a nonzero row needs q >= 2")
+    check_modulus(q, n)
     r = n if rows is None else rows
     if not 1 <= r <= n:
         raise ValueError(f"rows={rows} outside 1..{n}")
@@ -354,7 +316,7 @@ def _factor_product(v: np.ndarray, drawn: np.ndarray, below: np.ndarray, q: int)
     c[..., diagonal, diagonal] = 1
     c[np.broadcast_to(np.tri(r, k=-1, dtype=bool), c.shape)] = below.reshape(-1)
     del below  # held through the product, it raised a 625 x 625 draw's peak by 1.5 MB
-    out = _product(c, v, q)  # both factors are residues: no range test
+    out = _product(c, v)  # both factors are residues: no range test
     out %= q
     return out.astype(element_dtype(q))
 

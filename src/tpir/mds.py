@@ -99,9 +99,10 @@ def vandermonde_inverse(nodes, q: int) -> np.ndarray:
     ``nodes`` is one set of k nodes, shape (k,), giving the (k, k) inverse,
     or a stack of S sets, shape (S, k), giving the (S, k, k) stack of
     inverses; the nodes of each set must be distinct mod q. q must be a prime
-    of at most 2^31: the weights come from Fermat's little theorem, and the
-    int64 products of residues could overflow above 2^31. Anything else, or
-    an empty node set, raises ``ValueError``.
+    of at most 2^31, a rule of this function alone: the weights come from
+    Fermat's little theorem, and the int64 products of residues could
+    overflow above 2^31. Anything else, or an empty node set, raises
+    ``ValueError``.
 
     Solving V c = y is polynomial interpolation: c holds the coefficients of
     the degree < k polynomial through (nodes[i], y[i]). Columns of the inverse
@@ -111,7 +112,8 @@ def vandermonde_inverse(nodes, q: int) -> np.ndarray:
     take k vectorised steps over the whole stack, updated in place, so the
     peak memory is the output plus O(S k) scratch.
     """
-    linalg.check_modulus(q)
+    if q > 2**31:
+        raise ValueError(f"q={q} too large: int64 products of residues here need q <= 2^31")
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
     nodes = np.asarray(nodes, dtype=np.int64) % q

@@ -157,9 +157,10 @@ def build_queries(
     Secrets with leading stack axes give matrices with the same leading axes,
     one plan per secret set. The matrices are in ``field.element_dtype(q)``:
     every coefficient is a residue below q, so it fits its wire width exactly.
+    A ``layout`` given must be that of ``params`` and ``desired``, else
+    ``ValueError``.
     """
-    if layout is None or layout.desired != desired or layout.params != params:
-        layout = build_layout(params, desired)
+    layout = _layout(params, desired, layout)
     q, L, K, M = params.q, params.L, params.K, params.M
     stack = secrets.matrices[0].shape[:-2] if secrets.matrices else ()
     if len(secrets.matrices) != K or any(
@@ -211,6 +212,18 @@ def build_queries(
     return QueryPlan(layout=layout, matrices=tuple(matrices))
 
 
+def _layout(params: SchemeParams, desired: int, layout: BlockLayout | None) -> BlockLayout:
+    """``build_layout(params, desired)`` for None; ``ValueError`` for a layout of other ones."""
+    if layout is None:
+        return build_layout(params, desired)
+    if layout.params != params or layout.desired != desired:
+        raise ValueError(
+            f"layout for {layout.params}, desired {layout.desired}, "
+            f"does not match {params}, desired {desired}"
+        )
+    return layout
+
+
 def query_segments(q_matrix: np.ndarray, K: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     """A dense D x K*L query as (present, segments): the form it travels in.
 
@@ -259,7 +272,7 @@ def answer_query(
         if n:
             column = store.data[k].reshape(-1, 1)
             part = linalg.mat_mul(segments[start : start + n], column, store.q)
-            # a row sums at most K residues below q <= 2^31: no int64 overflow
+            # a row sums at most K residues: no int64 overflow
             values[present[:, k]] += part[:, 0]
             start += n
     values %= store.q
@@ -315,6 +328,8 @@ class Decoder:
     ``decode_subsets`` decodes a stack of responder subsets in one pass;
     ``decode`` checks the answers of one subset and decodes them there,
     building that subset's tables. The secret step is one ``linalg.solve``.
+    A ``layout`` given must be that of ``params`` and ``desired``, else
+    ``ValueError``.
     """
 
     def __init__(
@@ -324,10 +339,8 @@ class Decoder:
         secrets: SchemeSecrets,
         layout: BlockLayout | None = None,
     ):
-        if layout is None or layout.desired != desired or layout.params != params:
-            layout = build_layout(params, desired)
+        self.layout = _layout(params, desired, layout)
         self.secrets = secrets
-        self.layout = layout
 
     def decode(self, answers) -> np.ndarray:
         """Recover the desired message from >= N answers with distinct db ids.

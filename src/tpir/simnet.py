@@ -32,7 +32,6 @@ import numpy as np
 from . import scheme
 from .field import element_width, elements_from_bytes, elements_to_bytes
 from .layout import SchemeParams, build_layout
-from .linalg import check_modulus
 
 __all__ = [
     "ParseError",
@@ -55,6 +54,9 @@ ANSWER_VERSION = 1
 _KIND_QUERY = 1
 _KIND_ANSWER = 2
 _VERSIONS = {_KIND_QUERY: QUERY_VERSION, _KIND_ANSWER: ANSWER_VERSION}
+# The largest modulus a header carries, a rule of the wire format itself:
+# symbols of at most 4 bytes, each below 2^31.
+_MAX_Q = 2**31
 
 
 class ParseError(ValueError):
@@ -66,7 +68,8 @@ class ParseError(ValueError):
 
 
 def _header(kind: int, q: int) -> bytes:
-    check_modulus(q)  # the parser's rule, so that every message written parses
+    if q > _MAX_Q:  # the parser's rule, so that every message written parses
+        raise ValueError(f"q={q} too large for the wire format: above 2^31")
     return MAGIC + struct.pack("<BBBQ", _VERSIONS[kind], kind, element_width(q), q)
 
 
@@ -89,7 +92,7 @@ def _parse(buf: bytes, kind: int, name: str, fields: str):
         raise ParseError(f"wrong message kind {got_kind}, expected {kind}", 5)
     if version != _VERSIONS[kind]:
         raise ParseError(f"unsupported {name} version {version}", 4)
-    if q > 2**31:  # the rule of check_modulus
+    if q > _MAX_Q:
         raise ParseError(f"modulus q={q} is above 2^31", 7)
     if q < 2 or width != element_width(q):
         raise ParseError(f"inconsistent field width {width} for q={q}", 6)

@@ -16,6 +16,7 @@ import tpir
 from tpir import audit, field, layout, linalg, mds, scheme
 from tpir.layout import SchemeParams
 
+from linalg_helpers import BOUND, edge_prime
 from mds_helpers import is_mds
 
 
@@ -301,7 +302,19 @@ def test_run_audit_checks_lemma1_args_before_any_check(monkeypatch, lemma1):
 
     monkeypatch.setattr(scheme, "sample_secrets", no_secrets)
     with pytest.raises(ValueError, match="not prime|too large|beta"):
-        audit.run_audit(SchemeParams(4, 5, 2, 7, q=2**31 - 1), trials=1, seed=1, lemma1=lemma1)
+        audit.run_audit(SchemeParams(4, 5, 2, 7), trials=1, seed=1, lemma1=lemma1)
+
+
+def test_correctness_sweep_at_the_largest_modulus():
+    # the sweep multiplies the (D, K * L) plans by the stacked stores: at the
+    # largest prime the bound takes for K * L = 375 terms it still decodes
+    # every store from every subset; the next prime is refused
+    q = edge_prime(375)
+    p = SchemeParams(3, 5, 2, 6, q=q)
+    res = audit.correctness_sweep(p, trials=2, rng=np.random.default_rng(3))
+    assert res.passed and res.details["decodes"] == 3 * 6 * 2
+    with pytest.raises(ValueError, match=BOUND):
+        SchemeParams(3, 5, 2, 6, q=field.smallest_prime_geq(q + 1))
 
 
 def test_correctness_sweep_examples():

@@ -70,6 +70,13 @@ def test_layout_rejects_zero_databases(capsys):
     assert out == "" and "N <= M" in err
 
 
+def test_layout_refuses_a_default_modulus_beyond_the_bound(capsys):
+    # the default q of K = N = 10 is 10000000019, too large for exact products
+    code, out, err = run(capsys, "layout", "-K", "10", "-N", "10", "-T", "1")
+    assert code == 2
+    assert out == "" and "2^53" in err
+
+
 def test_demo_small(capsys):
     code, out, _ = run(capsys, "demo", "-K", "2", "-N", "3", "-T", "2",
                        "--seed", "7")

@@ -8,6 +8,8 @@ from tpir import layout, scheme
 from tpir.layout import SchemeParams, build_layout
 from tpir.mds import MdsSpec
 
+from linalg_helpers import BOUND
+
 
 def params_grid(max_K=4, max_N=5, extra_M=(0, 1, 2)):
     for K in range(1, max_K + 1):
@@ -136,6 +138,14 @@ def test_q_override_accepted():
         SchemeParams(2, 3, 2, 3, q=12)  # not prime
     with pytest.raises(ValueError, match=str(2**61 - 1)):
         SchemeParams(2, 3, 2, 3, q=2**61 - 1)  # prime, but elimination overflows int64
+
+
+@pytest.mark.parametrize("point", [(10, 10, 1, 10), (3, 2, 1, 3, 2**31 - 1)])
+def test_params_refuse_a_modulus_beyond_the_bound_chosen_or_passed(point):
+    # K * L * (q-1)^2 must stay below 2^53: the default q of (10, 10, 1, 10)
+    # is 10000000019 with L = 10^10, and 2^31 - 1 is refused at every L
+    with pytest.raises(ValueError, match=BOUND):
+        SchemeParams(*point)
 
 
 @given(st.integers(1, 4), st.integers(2, 5), st.data())

@@ -9,7 +9,7 @@ from scipy import stats
 
 from tpir import field, linalg
 
-from linalg_helpers import rank, reference_eliminate
+from linalg_helpers import BOUND, edge_prime, python_product, rank, reference_eliminate, refused
 
 
 def gl_order(n, q):
@@ -79,9 +79,9 @@ def test_solve_round_trip(mq, columns, seed):
     assert np.array_equal(x, linalg.mat_mul(linalg.invert(a, q), y, q))
 
 
-# One modulus per product path of mat_mul at small inner dimension: one
-# float64 product (2, 877, 65537) and 16-bit limbs (2^31 - 1).
-MAT_MUL_QS = [2, 877, 65537, 2**31 - 1]
+# Moduli of 1, 2 and 4 bytes, and the largest prime mat_mul takes at 6
+# inner terms, where six products of residues sum to just below 2^53.
+MAT_MUL_QS = [2, 877, 65537, edge_prime(6)]
 _OPERAND_KINDS = ("residue", "negative", "unreduced", "mixed")
 
 
@@ -116,10 +116,10 @@ def test_mat_mul_reduces_any_int64_operands_without_writing_them(abq):
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
-# (q, inner dimension), keyed by the range of inner * (q-1)^2: below 2^53,
-# where one float64 product is exact; below 2^63 only, where the product
-# runs on 16-bit limbs; and beyond int64, where q > 2^31 and mat_mul raises.
-_UNSIGNED_PATHS = {"float64": (877, 7), "limbs": (134217689, 300), "rejected": (2**63 - 25, 4)}
+# (q, inner dimension), keyed by the range of inner * (q-1)^2: far below
+# 2^53 and just below it (a 4-byte modulus), where one float64 product is
+# exact, and beyond int64, where mat_mul raises.
+_UNSIGNED_PATHS = {"float64": (877, 7), "edge": (edge_prime(300), 300), "rejected": (2**63 - 25, 4)}
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
@@ -133,7 +133,7 @@ def test_mat_mul_takes_unsigned_operands_as_their_int64_residues(path, dtype):
     a[0, :3] = top, min(q, top), min(2**63, top)
     b = rng.integers(0, q, size=(inner, 2))
     a0 = a.copy()
-    if q > 2**31:
+    if inner * (q - 1) ** 2 >= 2**53:
         with pytest.raises(ValueError, match=str(q)):
             linalg.mat_mul(a, b, q)
         return
@@ -151,7 +151,7 @@ def test_mat_mul_takes_unsigned_operands_as_their_int64_residues(path, dtype):
     assert np.array_equal(a, a0)
 
 
-@pytest.mark.parametrize("q", MAT_MUL_QS + [2**61 - 1])
+@pytest.mark.parametrize("q", MAT_MUL_QS + [2**31 - 1, 2**61 - 1])
 @pytest.mark.parametrize(
     "a_shape,b_shape",
     [((3, 4, 5), (5, 2)), ((4, 5), (3, 5, 2)), ((3, 4, 5), (3, 5, 2)), ((2, 1, 4, 5), (3, 5, 2))],
@@ -160,8 +160,8 @@ def test_stacked_mat_mul_matches_per_slice_products(q, a_shape, b_shape):
     rng = np.random.default_rng(q % 1000)
     a = rng.integers(-(2**62), 2**62, size=a_shape)
     b = rng.integers(-(2**62), 2**62, size=b_shape)
-    if q > 2**31:  # a stack is rejected as a single matrix is
-        with pytest.raises(ValueError, match=str(q)):
+    if 5 * (q - 1) ** 2 >= 2**53:  # a stack is refused at 5 inner terms as a matrix is
+        with pytest.raises(ValueError, match=BOUND):
             linalg.mat_mul(a, b, q)
         return
     got = linalg.mat_mul(a, b, q)
@@ -171,11 +171,6 @@ def test_stacked_mat_mul_matches_per_slice_products(q, a_shape, b_shape):
     b_all = np.broadcast_to(b, stack + b_shape[-2:])
     for at in np.ndindex(*stack):
         assert np.array_equal(got[at], linalg.mat_mul(a_all[at], b_all[at], q))
-
-
-def _python_product(a, b, q):
-    """(a @ b) mod q with Python integers, for 2-d operands: the test oracle."""
-    return [[sum(int(x) * int(y) for x, y in zip(row, col)) % q for col in b.T] for row in a]
 
 
 def _fresh_product(a, b, q):
@@ -200,7 +195,7 @@ def test_one_column_products_match_python_integers(m, k, dtype):
     rng = np.random.default_rng([m, k, np.dtype(dtype).itemsize])
     a = rng.integers(0, q, size=(m, k)).astype(dtype)
     b = rng.integers(0, q, size=(k, 1))
-    want = _python_product(a, b, q)
+    want = python_product(a, b, q)
     assert _fresh_product(a, b, q).tolist() == want
     # non-contiguous: every other column of a wider operand
     wide = np.zeros((m, 2 * k), dtype=dtype)
@@ -233,38 +228,27 @@ def test_stacked_one_column_products_match_python_integers(a_shape, b_shape, dty
     assert got.shape == stack + (a_shape[-2], 1)
     b_all = np.broadcast_to(b, stack + b_shape[-2:])
     for at in np.ndindex(*stack):
-        assert got[at].tolist() == _python_product(a[at], b_all[at], q)
+        assert got[at].tolist() == python_product(a[at], b_all[at], q)
 
 
-# Between 2^16 and 2^31: a prime near 2^20, where the single float64 product
-# covers up to 8192 inner terms, and the largest q allowed.
-LIMB_QS = [1048573, 2**31 - 1]
-
-
-@pytest.mark.parametrize("q", LIMB_QS)
-def test_limb_products_of_worst_case_entries(q):
-    edge = (2**53 - 1) // (q - 1) ** 2  # the longest inner axis of one float64 product
-    for inner in (edge, edge + 1, edge + 300):
-        a = np.full((3, inner), q - 1)
-        b = np.full((inner, 2), q - 1)
-        # (q-1)^2 = 1 mod q
-        assert _fresh_product(a, b, q).tolist() == [[inner % q] * 2] * 3
-        # random entries, a stacked left operand and a one-column right one
-        rng = np.random.default_rng([q, inner])
-        a = rng.integers(0, q, size=(2, 3, inner))
-        b = rng.integers(0, q, size=(inner, 1))
-        got = _fresh_product(a, b, q)
-        assert [got[i].tolist() for i in range(2)] == [_python_product(x, b, q) for x in a]
-
-
-@pytest.mark.parametrize("q", LIMB_QS)
-def test_limb_products_across_the_inner_chunk_bound(q):
-    # 2^21 + 65 terms: more than one chunk of exact 16-bit limb products
-    n = linalg._LIMB_INNER + 1
-    for value in (q - 1, 2**16 - 1):  # the largest residue, and the largest low limb
-        a = np.full((1, n), value)
-        got = _fresh_product(a, a.T, q)
-        assert got.tolist() == [[n * value * value % q]]
+@pytest.mark.parametrize("inner", [1, 300, 8192])
+def test_mat_mul_worst_case_entries_either_side_of_the_bound(inner):
+    # at the largest prime the bound takes, a product of entries q - 1 sums
+    # to inner * (q-1)^2, just below 2^53; the next prime is refused
+    q = edge_prime(inner)
+    a = np.full((3, inner), q - 1)
+    b = np.full((inner, 2), q - 1)
+    # (q-1)^2 = 1 mod q
+    assert _fresh_product(a, b, q).tolist() == [[inner % q] * 2] * 3
+    # random entries, a stacked left operand and a one-column right one
+    rng = np.random.default_rng([q, inner])
+    x = rng.integers(0, q, size=(2, 3, inner))
+    y = rng.integers(0, q, size=(inner, 1))
+    got = _fresh_product(x, y, q)
+    assert [got[i].tolist() for i in range(2)] == [python_product(z, y, q) for z in x]
+    beyond = field.smallest_prime_geq(q + 1)
+    with pytest.raises(ValueError, match=BOUND):
+        linalg.mat_mul(a, b, beyond)
 
 
 def test_mat_mul_rejects_mismatched_stacks():
@@ -333,22 +317,25 @@ def test_sampler_huge_dimension_smoke():
     assert rank(m, 65537) == 64
 
 
-# One prime per range of 64-term inner products of residues: within
-# float64's 53-bit mantissa (one float64 product), within int64, and beyond
-# it (both on 16-bit limbs). A leaf of invert, at most 32 columns, reduces
-# once at its end at the first two and after every pivot at the third.
+# One prime per range of a 64-term sum of products of residues: below
+# 2^53, below 2^63 and beyond. The bound n * (q-1)^2 < 2^53 takes the first
+# at every order here and refuses the other two at every order.
 FLOAT_Q, INT64_Q, OBJECT_Q = 877, 268435399, 1073741827
+EDGE_625 = edge_prime(625)
 
 
 @pytest.mark.parametrize(
     "n,q",
     [(65, FLOAT_Q), (130, FLOAT_Q), (200, FLOAT_Q), (130, INT64_Q), (65, OBJECT_Q),
-     (625, 2**31 - 1)],
+     (625, EDGE_625), (625, field.smallest_prime_geq(EDGE_625 + 1)), (625, 2**31 - 1)],
 )
 def test_invert_round_trip_blocked(n, q):
     # 65: two leaves; 130 and 200: two and three levels of halves; 625 at
-    # the largest modulus: five levels of limb products, whose columns not
-    # yet pivoted are not reduced between levels
+    # the largest prime the bound takes there: five levels of products
+    # summing to nearly 2^53, whose columns not yet pivoted are not reduced
+    # between levels. The next prime is refused.
+    if refused(n, q):
+        return
     a = linalg.sample_uniform_full_rank(n, q, np.random.default_rng(n))
     inv = linalg.invert(a, q)
     eye = np.eye(n, dtype=np.int64)
@@ -393,6 +380,8 @@ def test_blocked_rref_matches_unblocked_loop(q):
     # the leading 70 x 70 block is zero, so each of the first 70 pivots,
     # over several leaves and both quarters of the left half, comes from a
     # row below it
+    if refused(260, q):
+        return
     a = _zero_lead(260, 70, q, np.random.default_rng(q))
     want, r = _reference_inverse(a, q)
     assert r == 260
@@ -424,12 +413,13 @@ STRUCTURED = [
 ]
 
 
-# LIMB_QS: at 1048573 the products run on float64 and are exact only while
-# their operands are residues; at 2^31 - 1 they run on limbs and the leaves
-# reduce after every pivot
-@pytest.mark.parametrize("q", [2, FLOAT_Q, *LIMB_QS])
+# At 1048573 the products are exact only while their operands are
+# residues; 2^31 - 1 is refused at every order
+@pytest.mark.parametrize("q", [2, FLOAT_Q, 1048573, 2**31 - 1])
 @pytest.mark.parametrize("kind,n", STRUCTURED)
 def test_invert_matches_reference_on_structured_matrices(kind, n, q):
+    if refused(n, q):
+        return
     a = _structured(kind, n, q, np.random.default_rng([n, q % 1000]))
     want, r = _reference_inverse(a, q)
     assert r == n
@@ -445,6 +435,8 @@ def test_invert_singular_only_in_last_leaf_reports_the_rank(n, dependent, q):
     # the last ``dependent`` columns are combinations of the others, so every
     # leaf but the last pivots in full and the last finds a column without
     # a pivot; the error reports the order, the reference loop the rank
+    if refused(n, q):
+        return
     rng = np.random.default_rng([n, dependent, q % 1000])
     a = linalg.sample_uniform_full_rank(n, q, rng)
     a[:, n - dependent :] = linalg.mat_mul(
@@ -612,17 +604,20 @@ def test_sampler_rejects_an_empty_stack_before_drawing(count, rows):
     assert rng.bit_generator.state == state
 
 
-# The largest prime with 64 * (q-1)^2 < 2^63. At n = 448 invert runs on limb
-# products and its leaves, 28 columns wide, reduce only at their end. At
-# n = 200 every range of inner products runs.
+# The largest prime with 64 * (q-1)^2 < 2^63, refused at every order. At
+# the largest prime the bound takes at n = 448, the leaves of invert, 28
+# columns wide, reduce only at their end.
 INT64_EDGE_Q = 379625047
 
 
 @pytest.mark.parametrize(
-    "n,q", [(200, FLOAT_Q), (200, INT64_Q), (200, OBJECT_Q), (448, INT64_EDGE_Q)]
+    "n,q",
+    [(200, FLOAT_Q), (200, INT64_Q), (200, OBJECT_Q), (448, INT64_EDGE_Q), (448, edge_prime(448))],
 )
 def test_eliminate_leaves_entries_reduced(n, q):
     """Gauss-Jordan through ``invert`` against the reference loop on [a | I]."""
+    if refused(n, q):
+        return
     rng = np.random.default_rng(q % 1000 + 1)
     a = linalg.sample_uniform_full_rank(n, q, rng)
     want, r = _reference_inverse(a, q)
@@ -654,6 +649,18 @@ def test_elimination_rejects_modulus_above_2_31():
     for call in (linalg.invert, lambda a, q: linalg.mat_mul(a, a, q)):
         with pytest.raises(ValueError, match=str(q)):
             call(a, q)
+
+
+def test_sampler_refuses_a_modulus_beyond_the_bound_before_drawing():
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    beyond = field.smallest_prime_geq(edge_prime(40) + 1)
+    for count, rows in [(None, None), (3, 2)]:
+        with pytest.raises(ValueError, match=BOUND):
+            linalg.sample_uniform_full_rank(40, beyond, rng, count, rows=rows)
+    assert rng.bit_generator.state == state
+    m = linalg.sample_uniform_full_rank(40, edge_prime(40), rng)
+    assert rank(m, edge_prime(40)) == 40
 
 
 def test_singular_error_carries_rank():
@@ -714,6 +721,7 @@ def test_enumeration_guard_bounds_the_stack_before_allocating():
     assert peak < 2**16
 
 
+# 1-, 2- and 4-byte moduli, and 2^31 - 1, which the bound refuses at every order
 WIDTH_MODULI = [2, 877, 65537, 2**31 - 1]
 
 
@@ -721,6 +729,8 @@ WIDTH_MODULI = [2, 877, 65537, 2**31 - 1]
 def test_group_elements_are_held_in_the_wire_dtype(q):
     """Draws, stacked or cut to their first rows, and the enumeration come out
     in the field's wire dtype at moduli of 1, 2 and 4 bytes."""
+    if refused(6, q):
+        return
     dtype = field.element_dtype(q)
     rng = np.random.default_rng(q)
     for count, rows in [(None, None), (3, None), (None, 2), (3, 2)]:
@@ -738,6 +748,8 @@ def test_group_elements_are_held_in_the_wire_dtype(q):
 def test_invert_and_solve_take_a_wire_dtype_secret_as_its_int64_cast(q):
     """An unsigned input, in range or not, is inverted without being written
     and gives the bytes its int64 cast gives."""
+    if refused(70, q):
+        return
     rng = np.random.default_rng(q + 1)
     a = linalg.sample_uniform_full_rank(70, q, rng)
     y = rng.integers(0, q, size=(70, 3))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tpir import linalg, mds
 
-from linalg_helpers import rank
+from linalg_helpers import python_product, rank
 from mds_helpers import is_mds
 
 
@@ -95,18 +95,22 @@ def test_vandermonde_inverse_structured_vs_generic(q, k, sets, seed):
     stack = np.stack([np.sort(rng.choice(q, size=k, replace=False)) for _ in range(sets)])
     inverses = mds.vandermonde_inverse(stack, q)
     assert inverses.shape == (sets, k, k)
+    # the inverse is unique: residues whose product with V, in Python
+    # integers, is the identity
+    eye = np.eye(k, dtype=np.int64).tolist()
     for nodes, inv in zip(stack, inverses):
         v = np.array([[pow(int(x), j, q) for j in range(k)] for x in nodes])
         assert np.array_equal(inv, mds.vandermonde_inverse(nodes, q))
-        assert np.array_equal(inv, linalg.invert(v, q))
+        assert inv.min() >= 0 and inv.max() < q
+        assert python_product(inv, v, q) == eye
 
 
 def test_vandermonde_inverse_at_largest_modulus():
-    q = 2**31 - 1  # the largest prime int64 elimination allows
+    q = 2**31 - 1  # the largest prime its int64 weights allow
     stack = np.array([[q - 1, q - 2, 0, 1, 2**30], [5, q - 3, 2**31 - 2**20, 7, 3]])
     for nodes, inv in zip(stack, mds.vandermonde_inverse(stack, q)):
         v = np.array([[pow(int(x), j, q) for j in range(5)] for x in nodes])
-        assert np.array_equal(linalg.mat_mul(inv, v, q), np.eye(5, dtype=np.int64))
+        assert python_product(inv, v, q) == np.eye(5, dtype=np.int64).tolist()
 
 
 def test_vandermonde_inverse_rejects_modulus_above_2_31():

@@ -10,7 +10,7 @@ import pytest
 from tpir import audit, field, linalg, scheme, simnet
 from tpir.layout import SchemeParams, build_layout
 
-from linalg_helpers import rank
+from linalg_helpers import BOUND, rank
 from query_helpers import answer_dense
 
 
@@ -177,6 +177,26 @@ def test_answer_query_rejects_segments_that_are_not_integers():
         scheme.answer_query(0, np.ones((3, 2), dtype=bool), np.ones((6, 4)) + 0.5, store)
 
 
+# (params, desired) of a layout that does not match (2, 3, 2, 4) and desired 0
+_OTHER_LAYOUTS = [((2, 3, 2, 4), 1), ((2, 3, 2, 5), 0), ((2, 3, 1, 4), 0)]
+
+
+@pytest.mark.parametrize("point,desired", _OTHER_LAYOUTS)
+def test_build_queries_rejects_a_layout_of_other_params_or_index(point, desired):
+    p = SchemeParams(2, 3, 2, 4)
+    secrets = scheme.sample_secrets(p, np.random.default_rng(2))
+    with pytest.raises(ValueError, match="does not match"):
+        scheme.build_queries(p, 0, secrets, build_layout(SchemeParams(*point), desired))
+
+
+@pytest.mark.parametrize("point,desired", _OTHER_LAYOUTS)
+def test_decoder_rejects_a_layout_of_other_params_or_index(point, desired):
+    p = SchemeParams(2, 3, 2, 4)
+    secrets = scheme.sample_secrets(p, np.random.default_rng(2))
+    with pytest.raises(ValueError, match="does not match"):
+        scheme.Decoder(p, 0, secrets, build_layout(SchemeParams(*point), desired))
+
+
 def test_secrets_shape_mismatch_rejected():
     p = SchemeParams(2, 2, 1, 2)
     bad = scheme.SchemeSecrets(matrices=(np.eye(3, dtype=np.int64),) * 2)
@@ -264,6 +284,16 @@ def test_secrets_and_plans_reproduce_pinned_digests():
     assert _digest(plan.matrices) == "f22965dd886acffe"
 
 
+def _params_or_refused(K, N, T, M, q):
+    """SchemeParams(K, N, T, M, q); None, once checked to raise, for a q that
+    the bound refuses at its widest product, of K * N^K terms (2^31 - 1 here)."""
+    if K * N**K * (q - 1) ** 2 < 2**53:
+        return SchemeParams(K, N, T, M, q)
+    with pytest.raises(ValueError, match=BOUND):
+        SchemeParams(K, N, T, M, q)
+    return None
+
+
 @pytest.mark.parametrize("count", [None, 3], ids=["unstacked", "stacked"])
 @pytest.mark.parametrize(
     "K,N,T,M,q",
@@ -273,7 +303,9 @@ def test_secrets_and_plans_reproduce_pinned_digests():
 def test_plans_are_held_in_the_wire_dtype(K, N, T, M, q, count, monkeypatch):
     """Plans come out in the field's wire dtype, equal to the int64 construction
     and with the same query bytes, at moduli of 1, 2 and 4 bytes."""
-    p = SchemeParams(K, N, T, M, q)
+    p = _params_or_refused(K, N, T, M, q)
+    if p is None:
+        return
     secrets = scheme.sample_secrets(p, np.random.default_rng(q), count)
     plans = [scheme.build_queries(p, d, secrets) for d in range(K)]
     monkeypatch.setattr(scheme, "element_dtype", lambda q: np.dtype(np.int64))
@@ -294,7 +326,9 @@ def test_plans_are_held_in_the_wire_dtype(K, N, T, M, q, count, monkeypatch):
 def test_secrets_and_tables_are_held_in_the_wire_dtype(K, N, T, M, q):
     """Secrets and decoding tables come out in the field's wire dtype, and plans,
     decodes and solves from them are the bytes their int64 casts give."""
-    p = SchemeParams(K, N, T, M, q)
+    p = _params_or_refused(K, N, T, M, q)
+    if p is None:
+        return
     dtype = field.element_dtype(q)
     rng = np.random.default_rng(q)
     for count, desired in [(None, None), (2, None), (None, K - 1), (2, 0)]:

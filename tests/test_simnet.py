@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from tpir import scheme, simnet
-from tpir.field import element_width
+from tpir.field import element_width, smallest_prime_geq
 from tpir.layout import SchemeParams, total_download
 
+from linalg_helpers import BOUND, edge_prime
 from query_helpers import decode_dense, v1_query_bytes
 
 
@@ -70,13 +71,18 @@ def test_transcript_replay(session_setup):
 
 
 def test_session_at_the_largest_modulus_decodes():
-    # every product of this session runs on 16-bit limbs
-    p = SchemeParams(3, 5, 2, 6, q=2**31 - 1)
+    # the largest prime the bound takes at this point's widest product, of
+    # K * L = 375 terms, where the session's products come nearest 2^53; the
+    # next prime is refused
+    q = edge_prime(375)
+    p = SchemeParams(3, 5, 2, 6, q=q)
     rng = np.random.default_rng(5)
     store = scheme.MessageStore.random(p, rng)
     out = simnet.run_session(p, 2, store, drop_set={1}, rng=rng)
     assert np.array_equal(out["decoded"], store.data[2])
     assert np.array_equal(simnet.replay_transcript(out["session"]), out["decoded"])
+    with pytest.raises(ValueError, match=BOUND):
+        SchemeParams(3, 5, 2, 6, q=smallest_prime_geq(q + 1))
 
 
 # SHA-256 prefixes of a seeded session's queries and answer bytes (in

@@ -178,7 +178,7 @@ def test_modulus_int64_cannot_hold_rejected_at_its_offset(q):
 
 @pytest.mark.parametrize("q", [2**31 + 1, 2**32, 2**32 + 15, _Q61])
 def test_modulus_above_2_31_rejected_at_its_offset(q):
-    # the one modulus rule of linalg.check_modulus, applied at the wire
+    # the wire format's own modulus rule, q <= 2^31
     for buf, decode in _with_modulus(q):
         with pytest.raises(simnet.ParseError, match=f"q={q} is above 2\\^31") as exc:
             decode(buf)
